@@ -34,9 +34,8 @@ Schema v2 adds *distributed tracing*: every hub belongs to a trace
 ``span.start`` event on entry (so attempts that crash mid-span still
 appear in the stream), and a worker process can run a *child hub*
 (:func:`child_hub`) whose events are relayed back into the parent's
-sink — through the supervisor's result pipe (:class:`PipeSink`) or a
-per-shard JSONL spool — so one stream holds the whole run as a single
-stitched trace.  ``repro.observability.trace`` rebuilds the span tree
+sink through the supervisor's result pipe (:class:`PipeSink`), so one
+stream holds the whole run as a single stitched trace.  ``repro.observability.trace`` rebuilds the span tree
 and ``python -m repro trace run.jsonl`` renders the report.  Child
 hubs only ever exist when the parent's hub is enabled, preserving the
 zero-cost contract end to end.
@@ -283,7 +282,7 @@ class TraceContext:
     """What a parent hub ships into a worker process.
 
     ``trace_id`` names the whole run; ``parent_span`` is the span the
-    child's root span hangs under (the supervisor/pool map span);
+    child's root span hangs under (the supervisor map span);
     ``sample_interval`` keeps child VM sampling at the parent's
     cadence.  ``shard``/``attempt``/``label`` are stamped per attempt
     by the launcher (:func:`for_shard`).  Plain frozen dataclass —

@@ -21,7 +21,7 @@ class ProfileInputError(ProfilerError, ValueError):
     """A profiling entry point was called with invalid input.
 
     Raised for the documented contract violations of
-    :func:`~repro.profiler.parallel.merge_graphs` and the job-list
+    :func:`~repro.profiler.merge_graphs` and the job-list
     entry points: an empty graph/job list, mismatched context-domain
     sizes (``slots``), or a ``states`` list whose length differs from
     the graph list.

@@ -1,13 +1,12 @@
-"""Fault-tolerant shard supervision for the parallel profiling runtime.
+"""The parallel profiling runner: fault-tolerant shard supervision.
 
-The plain :class:`~repro.profiler.parallel.ParallelProfiler` is a
-fair-weather fan-out: one crashed, hung, or budget-blown worker takes
-the whole ``pool.map`` down and every finished shard with it.  The
-paper's tool could not afford that inside a production JVM, and the
-bounded abstract domain makes the fix cheap here: shard profiles are
-*idempotent* (a :class:`ProfileJob` re-runs deterministically) and the
-merge is *exact*, so any shard can simply be run again — supervision
-reduces to bookkeeping.
+One crashed, hung, or budget-blown worker must not take every
+finished shard down with it.  The paper's tool could not afford that
+inside a production JVM, and the bounded abstract domain makes the
+fix cheap here: shard profiles are *idempotent* (a
+:class:`ProfileJob` re-runs deterministically) and the merge is
+*exact*, so any shard can simply be run again — supervision reduces
+to bookkeeping.
 
 :class:`SupervisedProfiler` runs each shard attempt in its own child
 process with a result pipe, which buys:
@@ -279,10 +278,6 @@ def _shard_entry(payload, fault, ctx, conn):
         conn.close()
 
 
-#: Backwards-compatible alias (pre-trace name of the worker entry).
-_shard_worker = _shard_entry
-
-
 def validate_shard(shard) -> str:
     """Structural sanity check on a worker-shipped profile dict.
 
@@ -309,6 +304,16 @@ def validate_shard(shard) -> str:
 # -- the supervisor ----------------------------------------------------------
 
 
+def _mp_context():
+    """``fork`` where available (cheap on Linux; workers inherit
+    ``sys.path``), otherwise the platform default (``spawn``, the only
+    method there)."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return multiprocessing.get_context()
+
+
 class _Attempt:
     """One scheduled (or running) attempt of one shard."""
 
@@ -327,21 +332,21 @@ class _Attempt:
 
 
 class SupervisedProfiler:
-    """Shard supervisor: the fault-tolerant face of the parallel runtime.
+    """Shard supervisor: the one runner of the parallel runtime.
 
-    Same profiling parameters as
-    :class:`~repro.profiler.parallel.ParallelProfiler`, plus a
+    Takes the tracker parameters (``slots``, ``phases``, ``track_cr``,
+    ``track_control``), at most ``workers`` concurrent shard processes
+    (default: one per job, capped at the CPU count), a
     :class:`ShardPolicy`, an optional checkpoint path, and an optional
     :class:`~repro.testing.faults.FaultPlan` (tests/CI only).  On the
     clean path the merged profile is identical — including node
-    numbering — to ``ParallelProfiler``'s and to the sequential
-    oracle's; supervision only adds per-shard processes and
-    bookkeeping (``make bench-json-pr4`` tracks that overhead).
+    numbering — to the sequential oracle's
+    (:func:`~repro.profiler.parallel.profile_jobs_sequential`).
     """
 
     def __init__(self, workers: int = None, slots: int = 16,
                  phases=None, track_cr: bool = True,
-                 track_control: bool = False, start_method: str = None,
+                 track_control: bool = False,
                  policy: ShardPolicy = None, checkpoint=None,
                  fault_plan=None, on_shard=None):
         self.workers = workers
@@ -349,7 +354,6 @@ class SupervisedProfiler:
         self.phases = frozenset(phases) if phases is not None else None
         self.track_cr = track_cr
         self.track_control = track_control
-        self.start_method = start_method
         self.policy = policy if policy is not None else ShardPolicy()
         self.checkpoint = checkpoint
         self.fault_plan = fault_plan
@@ -360,13 +364,6 @@ class SupervisedProfiler:
         #: Failed shards never fire; a degraded run pushes survivors
         #: only.  Exceptions from the callback abort the run.
         self.on_shard = on_shard
-
-    def _context(self):
-        method = self.start_method
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else available[0]
-        return multiprocessing.get_context(method)
 
     # -- lifecycle of one run ------------------------------------------------
 
@@ -416,7 +413,7 @@ class SupervisedProfiler:
         pending = [_Attempt(index, job)
                    for index, job in enumerate(jobs) if index not in done]
         running = []
-        ctx = self._context()
+        ctx = _mp_context()
         abort_after = (self.fault_plan.abort_after
                        if self.fault_plan is not None else None)
         completed_this_run = 0
@@ -495,7 +492,7 @@ class SupervisedProfiler:
                                                task.job.label)
                            if trace_ctx is not None else None)
             recv_conn, send_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_shard_worker,
+            proc = ctx.Process(target=_shard_entry,
                                args=(payload, fault, attempt_ctx,
                                      send_conn),
                                daemon=True)

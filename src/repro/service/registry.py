@@ -13,7 +13,7 @@ accepted shard is folded through
 :func:`~repro.profiler.parallel.fold_graph`, so a tenant that received
 a sharded run's shards in job order holds a graph bit-for-bit
 identical — node numbering included — to the batch
-:func:`~repro.profiler.parallel.merge_graphs` over the same list.
+:func:`~repro.profiler.merge_graphs` over the same list.
 A shard is deserialized and validated *before* any tenant state is
 touched; a bad shard (or a client that dies mid-frame, which never
 reaches the registry at all) leaves the tenant exactly as it was.

@@ -24,6 +24,13 @@ class Main {
 """
 
 
+@pytest.fixture(autouse=True)
+def _isolated_cwd(tmp_path, monkeypatch):
+    # Relative default paths (the flight recorder's dump file) must
+    # land in the test's tmp dir, not in the checkout.
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.fixture
 def demo_file(tmp_path):
     path = tmp_path / "demo.mj"
