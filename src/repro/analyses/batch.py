@@ -194,8 +194,9 @@ class ReachabilityIndex:
         if clock:
             total = clock() - build_start
             scc_seconds = max(total - prop_seconds, 0.0)
-            hub.timer_add(f"batch.scc[{self.name}]", scc_seconds)
-            hub.timer_add(f"batch.propagation[{self.name}]", prop_seconds)
+            hub.metrics.observe(f"batch.scc[{self.name}]", scc_seconds)
+            hub.metrics.observe(f"batch.propagation[{self.name}]",
+                                prop_seconds)
             hub.event("batch.index", index=self.name, nodes=n,
                       sccs=len(comp_bits), dur=round(total, 6),
                       scc_s=round(scc_seconds, 6),

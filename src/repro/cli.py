@@ -675,8 +675,11 @@ def _cmd_serve(args):
     spill_dir = args.spill_dir or tempfile.mkdtemp(prefix="repro-serve-")
     registry = TenantRegistry(max_resident=args.max_tenants,
                               spill_dir=spill_dir)
-    from .observability import NULL_METRICS, MetricsRegistry
-    metrics = NULL_METRICS if args.no_metrics else MetricsRegistry()
+    # One store: `stats` and the JSONL summaries export the hub's.
+    from .observability import NULL_METRICS, MetricsRegistry, current
+    hub = current()
+    metrics = NULL_METRICS if args.no_metrics else (
+        hub.metrics if hub.enabled else MetricsRegistry())
     daemon = AnalysisDaemon(registry, socket_path=args.socket, tcp=tcp,
                             max_frame=args.max_frame_mb * 1024 * 1024,
                             metrics=metrics)

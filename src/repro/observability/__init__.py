@@ -3,7 +3,7 @@
 Six pieces (see ``docs/OBSERVABILITY.md``):
 
 * :mod:`~repro.observability.telemetry` — the :class:`Telemetry` hub
-  (counters / gauges / timers, span tracing, JSONL sink) threaded
+  (span tracing, JSONL sink, metrics in ``hub.metrics``) threaded
   through the VM, the cost tracker, the batched slicing engine, and
   the parallel profiling runtime; zero-cost when disabled; schema v2
   carries trace context (trace/span ids, ``pid``/``seq`` stamps) and
@@ -11,9 +11,10 @@ Six pieces (see ``docs/OBSERVABILITY.md``):
 * :mod:`~repro.observability.trace` — the trace model: rebuild the
   cross-process span tree from a JSONL stream, attribute wall time
   per phase, compute the critical path (``python -m repro trace``);
-* :mod:`~repro.observability.metrics` — live service metrics: the
+* :mod:`~repro.observability.metrics` — the one metrics store: the
   :class:`MetricsRegistry` of counters / gauges / fixed-bucket latency
-  histograms the daemon snapshots for ``stats``/``health`` queries;
+  histograms that the hub exports as JSONL summaries and the daemon
+  snapshots for ``stats``/``health`` queries;
   zero-cost when disabled (:data:`NULL_METRICS`), stable JSON schema;
 * :mod:`~repro.observability.flightrecorder` — the always-on bounded
   ring of recent telemetry events, dumped atomically to a JSONL file

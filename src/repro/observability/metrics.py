@@ -1,14 +1,12 @@
-"""Live service metrics: counters, gauges, fixed-bucket histograms.
+"""The one metrics store: counters, gauges, fixed-bucket histograms.
 
-The resident daemon (``python -m repro serve``) needs *queryable*
-operational state — request rates, per-message-type latency
-distributions, per-tenant memory accounting — without re-reading JSONL
-telemetry files after the fact.  :class:`MetricsRegistry` is that
-surface: a tiny in-process registry the daemon updates on its (single-
-threaded) event loop and snapshots on ``stats``/``health`` queries.
+A live :class:`~repro.observability.telemetry.Telemetry` hub owns a
+:class:`MetricsRegistry` as ``hub.metrics`` (span and batch timings are
+its histograms), and ``repro serve`` hands the daemon that same
+registry.  The hub's ``flush()`` (JSONL summary events) and the
+daemon's live ``stats`` query are two exporters of this one store.
 
-The design mirrors the :class:`~repro.observability.telemetry.Telemetry`
-hub's zero-cost contract:
+The design follows the hub's zero-cost contract:
 
 * :data:`NULL_METRICS` (a :class:`NullMetrics`) is the disabled
   registry; every method is a no-op and ``enabled`` is ``False``;
@@ -36,7 +34,6 @@ byte-identical JSON, which is what the service tests assert.
 from __future__ import annotations
 
 import json
-import time
 from bisect import bisect_left
 
 #: Version stamped into every snapshot (bump on layout change).
@@ -52,22 +49,21 @@ LATENCY_BUCKETS = (0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 
 
 class Histogram:
-    """One fixed-bucket latency histogram (bounds in seconds).
+    """One fixed-bucket latency histogram over :data:`LATENCY_BUCKETS`.
 
-    ``counts`` has ``len(bounds) + 1`` cells; the last is the overflow
-    bucket (observations above the largest bound).
+    ``counts`` has ``len(LATENCY_BUCKETS) + 1`` cells; the last is the
+    overflow bucket (observations above the largest bound).
     """
 
-    __slots__ = ("bounds", "counts", "count", "sum_s")
+    __slots__ = ("counts", "count", "sum_s")
 
-    def __init__(self, bounds=LATENCY_BUCKETS):
-        self.bounds = tuple(bounds)
-        self.counts = [0] * (len(self.bounds) + 1)
+    def __init__(self):
+        self.counts = [0] * (len(LATENCY_BUCKETS) + 1)
         self.count = 0
         self.sum_s = 0.0
 
     def observe(self, seconds: float) -> None:
-        self.counts[bisect_left(self.bounds, seconds)] += 1
+        self.counts[bisect_left(LATENCY_BUCKETS, seconds)] += 1
         self.count += 1
         self.sum_s += seconds
 
@@ -84,20 +80,20 @@ class Histogram:
             if cell == 0:
                 continue
             if seen + cell >= rank:
-                if index >= len(self.bounds):
-                    return self.bounds[-1]
-                low = self.bounds[index - 1] if index else 0.0
-                high = self.bounds[index]
+                if index >= len(LATENCY_BUCKETS):
+                    return LATENCY_BUCKETS[-1]
+                low = LATENCY_BUCKETS[index - 1] if index else 0.0
+                high = LATENCY_BUCKETS[index]
                 return low + (high - low) * (rank - seen) / cell
             seen += cell
-        return self.bounds[-1]
+        return LATENCY_BUCKETS[-1]
 
     def snapshot(self) -> dict:
         return {
             "count": self.count,
             "sum_s": round(self.sum_s, 6),
             "buckets": {
-                "le": [*self.bounds, "inf"],
+                "le": [*LATENCY_BUCKETS, "inf"],
                 "counts": list(self.counts),
             },
             "p50_s": round(self.quantile(0.50), 6),
@@ -144,12 +140,10 @@ class MetricsRegistry:
 
     enabled = True
 
-    def __init__(self, buckets=LATENCY_BUCKETS):
-        self.buckets = tuple(buckets)
+    def __init__(self):
         self.counters = {}
         self.gauges = {}
         self.histograms = {}
-        self.created_unix = time.time()
 
     def inc(self, name: str, delta=1) -> None:
         self.counters[name] = self.counters.get(name, 0) + delta
@@ -160,7 +154,7 @@ class MetricsRegistry:
     def observe(self, name: str, seconds: float) -> None:
         histogram = self.histograms.get(name)
         if histogram is None:
-            histogram = self.histograms[name] = Histogram(self.buckets)
+            histogram = self.histograms[name] = Histogram()
         histogram.observe(seconds)
 
     def snapshot(self) -> dict:

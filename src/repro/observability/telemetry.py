@@ -1,4 +1,4 @@
-"""Structured run telemetry: counters, gauges, timers, span tracing.
+"""Structured run telemetry: span tracing and the JSONL event stream.
 
 The paper's tool ran inside a production JVM where per-phase overhead,
 context-register health, and shadow-memory footprint were operational
@@ -7,7 +7,8 @@ analysis results).  This module is the reproduction's analogue: a
 :class:`Telemetry` hub that the VM, the cost tracker, the batched
 slicing engine, and the parallel runtime report into, with a JSONL
 event sink for offline inspection (``docs/OBSERVABILITY.md`` documents
-the schema).
+the schema).  Counters, gauges and span timings live in the hub's
+:class:`~repro.observability.metrics.MetricsRegistry` (``hub.metrics``).
 
 Zero-cost-when-disabled is a hard requirement — profiling overhead is
 the subject being measured, so the measurement must not perturb it:
@@ -50,6 +51,8 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+
+from .metrics import NULL_METRICS, MetricsRegistry
 
 #: Schema version stamped into the leading ``meta`` event of a stream.
 SCHEMA_VERSION = 2
@@ -198,15 +201,7 @@ class NullTelemetry:
     """
 
     enabled = False
-
-    def inc(self, name, delta=1):
-        pass
-
-    def gauge(self, name, value):
-        pass
-
-    def timer_add(self, name, seconds, count=1):
-        pass
+    metrics = NULL_METRICS
 
     def event(self, kind, **fields):
         pass
@@ -329,7 +324,7 @@ def child_hub(context: TraceContext, sink) -> "Telemetry":
 
 
 class Telemetry:
-    """Counter/gauge/timer hub with span tracing and an event sink.
+    """Span-tracing hub with an event sink and a metrics registry.
 
     Parameters
     ----------
@@ -352,10 +347,7 @@ class Telemetry:
                  clock=time.perf_counter, trace_id=None, parent_span=None):
         self.sink = sink if sink is not None else MemorySink()
         self.sample_interval = sample_interval
-        self.counters = {}
-        self.gauges = {}
-        #: span/timer name -> [invocations, total seconds]
-        self.timers = {}
+        self.metrics = MetricsRegistry()
         self._clock = clock
         self._t0 = clock()
         self.trace_id = trace_id if trace_id else new_trace_id()
@@ -380,20 +372,6 @@ class Telemetry:
     def _now(self) -> float:
         return self._clock() - self._t0
 
-    def inc(self, name: str, delta=1):
-        self.counters[name] = self.counters.get(name, 0) + delta
-
-    def gauge(self, name: str, value):
-        self.gauges[name] = value
-
-    def timer_add(self, name: str, seconds: float, count: int = 1):
-        timer = self.timers.get(name)
-        if timer is None:
-            self.timers[name] = [count, seconds]
-        else:
-            timer[0] += count
-            timer[1] += seconds
-
     def event(self, kind: str, **fields):
         self._seq += 1
         record = {"ev": kind, "t": round(self._now(), 6),
@@ -410,7 +388,7 @@ class Telemetry:
         ``t``/``pid``/``seq``/``hub`` and span ids) land in this hub's
         sink untouched, so one JSONL file holds the whole trace.
         """
-        self.inc("telemetry.relayed")
+        self.metrics.inc("telemetry.relayed")
         self.sink.emit(event)
 
     def _enter_span(self, name, meta):
@@ -435,7 +413,7 @@ class Telemetry:
         finally:
             duration = self._now() - start
             self._span_stack.pop()
-            self.timer_add(name, duration)
+            self.metrics.observe(name, duration)
             self.event("span", name=name, span_id=handle.span_id,
                        parent_id=handle.parent_id,
                        dur=round(duration, 6), **meta)
@@ -493,7 +471,7 @@ class Telemetry:
         """
         counts = opcode_class_counts(vm)
         for name, value in counts.items():
-            self.inc(f"vm.instr[{name}]", value)
+            self.metrics.inc(f"vm.instr[{name}]", value)
         self.event("vm.run", instructions=vm.instr_count,
                    heap=vm.heap.total_allocated,
                    phases=dict(vm.phase_counts))
@@ -501,17 +479,21 @@ class Telemetry:
     # -- lifecycle -----------------------------------------------------------
 
     def flush(self):
-        """Emit accumulated counters/gauges/timers as summary events."""
-        if self.counters:
+        """Export the registry as ``counters``/``gauges``/``timers``
+        summary events (timers as ``{n, total}`` per histogram)."""
+        metrics = self.metrics
+        if metrics.counters:
             self.event("counters",
-                       counters=dict(sorted(self.counters.items())))
-        if self.gauges:
-            self.event("gauges", gauges=dict(sorted(self.gauges.items())))
-        if self.timers:
+                       counters=dict(sorted(metrics.counters.items())))
+        if metrics.gauges:
+            self.event("gauges",
+                       gauges=dict(sorted(metrics.gauges.items())))
+        if metrics.histograms:
             self.event("timers",
-                       timers={name: {"n": n, "total": round(total, 6)}
-                               for name, (n, total)
-                               in sorted(self.timers.items())})
+                       timers={name: {"n": histogram.count,
+                                      "total": round(histogram.sum_s, 6)}
+                               for name, histogram
+                               in sorted(metrics.histograms.items())})
 
     def close(self):
         self.flush()
@@ -614,10 +596,11 @@ def emit_tracker_stats(telemetry, tracker) -> None:
     graph = tracker.graph
     cr = tracker.conflict_ratio()
     collisions = slot_collision_counts(tracker)
-    telemetry.gauge("tracker.nodes", graph.num_nodes)
-    telemetry.gauge("tracker.edges", graph.num_edges)
-    telemetry.gauge("tracker.memory_bytes", graph.memory_bytes())
-    telemetry.gauge("tracker.cr", round(cr, 6))
+    metrics = telemetry.metrics
+    metrics.gauge("tracker.nodes", graph.num_nodes)
+    metrics.gauge("tracker.edges", graph.num_edges)
+    metrics.gauge("tracker.memory_bytes", graph.memory_bytes())
+    metrics.gauge("tracker.cr", round(cr, 6))
     telemetry.event("tracker", slots=tracker.slots,
                     nodes=graph.num_nodes, edges=graph.num_edges,
                     ref_edges=len(graph.ref_edges),

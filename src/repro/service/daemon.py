@@ -56,8 +56,9 @@ class AnalysisDaemon:
         self.socket_path = socket_path
         self.tcp = tcp
         self.max_frame = max_frame
-        #: Live metrics registry (``stats``/``health`` queries read
-        #: it).  Defaults to the disabled :data:`NULL_METRICS`; the
+        #: Live metrics registry (``stats``/``health`` queries read it;
+        #: ``repro serve`` passes the live hub's ``hub.metrics``).
+        #: Defaults to the disabled :data:`NULL_METRICS`; the
         #: request loop guards on ``metrics.enabled`` so a disabled
         #: daemon does exactly zero extra per-request work.
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -142,13 +143,14 @@ class AnalysisDaemon:
                 metrics = self.metrics
                 if metrics.enabled:
                     kind = message.get("type")
+                    # Counted on arrival: `stats` includes itself.
+                    metrics.inc("service.requests")
                     start = time.perf_counter()
                     response = self._handle(message)
                     metrics.observe(
                         "service.request"
                         f"[{kind if isinstance(kind, str) else '?'}]",
                         time.perf_counter() - start)
-                    metrics.inc("service.requests")
                     if response.get("type") == "error":
                         metrics.inc("service.errors")
                         metrics.inc(

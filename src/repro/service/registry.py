@@ -344,9 +344,9 @@ class TenantRegistry:
             raise
         self.pushes += 1
         self.last_ingest_unix = tenant.last_ingest_unix
-        hub = _current_telemetry()
-        hub.inc("service.push")
-        hub.inc(f"service.push[{name}]")
+        metrics = _current_telemetry().metrics
+        metrics.inc("service.push")
+        metrics.inc(f"service.push[{name}]")
         self._enforce_budget(keep=name)
         return tenant
 
@@ -420,9 +420,9 @@ class TenantRegistry:
     def count_query(self, tenant: TenantState) -> None:
         tenant.queries += 1
         self.queries += 1
-        hub = _current_telemetry()
-        hub.inc("service.query")
-        hub.inc(f"service.query[{tenant.name}]")
+        metrics = _current_telemetry().metrics
+        metrics.inc("service.query")
+        metrics.inc(f"service.query[{tenant.name}]")
 
     def status(self) -> dict:
         """The registry-wide ``status`` payload."""

@@ -3,11 +3,17 @@ whole pipeline: parse → typecheck → codegen → run (± tracking) →
 format → reparse.
 
 The generator emits structured programs over int locals with nested
-if/while/for control flow, guaranteed to terminate (bounded loop
-counters) and to avoid division (no runtime arithmetic errors).
+if/for control flow.  Every example terminates quickly: loops count to
+a bound of at most 6, and every assignment is reduced modulo
+:data:`MODULUS`.  MiniJ ints are unbounded, so without that reduction
+``v0 = v0 * v0`` inside two nested loops squares a value 36 times and
+never finishes; with it every variable stays below ``MODULUS`` in
+magnitude and each expression's operands stay small.  The only
+division-like operator is ``%`` by that non-zero constant, so no
+example raises a runtime arithmetic error.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.lang import compile_source, format_source
@@ -15,6 +21,9 @@ from repro.profiler import CostTracker
 from repro.vm import VM
 
 N_VARS = 3
+
+#: Every assignment is reduced modulo this prime (see module docstring).
+MODULUS = 1000003
 
 
 @st.composite
@@ -51,7 +60,7 @@ def statement(draw, depth):
         if depth < 2 else ["assign"]))
     if kind == "assign":
         target = draw(st.integers(0, N_VARS - 1))
-        return f"v{target} = {draw(int_expr())};"
+        return f"v{target} = ({draw(int_expr())}) % {MODULUS};"
     if kind == "if":
         then_body = "\n".join(draw(statements(depth + 1)))
         if draw(st.booleans()):
@@ -79,6 +88,19 @@ def program_source(draw):
             f"{prints}\n}} }}")
 
 
+#: The worst case of the unreduced generator: a squaring inside two
+#: nested loops of the largest bound (36 squarings of v0).
+NESTED_SQUARING = (
+    "class Main { static void main() {\n"
+    "int v0 = 10;\nint v1 = -3;\nint v2 = 7;\n"
+    "for (int k0 = 0; k0 < 6; k0++) { "
+    "for (int k1 = 0; k1 < 6; k1++) { "
+    f"v0 = ((v0 * v0)) % {MODULUS}; }} }}\n"
+    + "\n".join(f'Sys.printInt(v{i}); Sys.print(" ");'
+                for i in range(N_VARS))
+    + "\n} }")
+
+
 def run(source, tracer=None):
     vm = VM(compile_source(source), tracer=tracer,
             max_steps=5_000_000)
@@ -87,6 +109,7 @@ def run(source, tracer=None):
 
 
 @given(program_source())
+@example(NESTED_SQUARING)
 @settings(max_examples=25, deadline=None)
 def test_pipeline_consistency(source):
     """Output is deterministic, unaffected by tracking, and preserved

@@ -537,9 +537,10 @@ class TestDaemon:
                 with harness.client() as client:
                     client.push("app", make_shard("a"))
                     client.query("app", "summary")
-        assert hub.counters["service.push"] == 1
-        assert hub.counters["service.push[app]"] == 1
-        assert hub.counters["service.query"] == 1
+        counters = hub.metrics.counters
+        assert counters["service.push"] == 1
+        assert counters["service.push[app]"] == 1
+        assert counters["service.query"] == 1
         spans = {event["name"] for event in sink.events
                  if event["ev"] == "span"}
         assert {"service.ingest", "service.query"} <= spans
@@ -710,6 +711,32 @@ class TestStatsHealth:
         summaries = [event for event in sink.events
                      if event["ev"] == "counters"]
         assert summaries[0]["counters"]["service.push"] == 1
+
+    def test_stats_and_jsonl_summary_export_one_store(self, tmp_path):
+        """Wired the way `repro serve --telemetry` wires it (the daemon
+        gets the live hub's registry), the `stats` counters and the
+        flushed JSONL `counters` summary report the same numbers."""
+        from repro.observability import MemorySink, Telemetry, use
+        sink = MemorySink()
+        hub = Telemetry(sink=sink)
+        with use(hub):
+            with DaemonHarness(tmp_path, metrics=hub.metrics) as harness:
+                with harness.client() as client:
+                    client.push("app", make_shard("a"))
+                    client.push("app", make_shard("b"))
+                    client.query("app", "summary")
+                    with pytest.raises(ServiceError):
+                        client.query("ghost", "summary")
+                    live = client.stats()["stats"]["metrics"]["counters"]
+        flushed = [event["counters"] for event in sink.events
+                   if event["ev"] == "counters"][-1]
+        names = ("service.push", "service.query", "service.requests",
+                 "service.errors")
+        assert {name: live[name] for name in names} == \
+            {name: flushed[name] for name in names}
+        assert live["service.push"] == 2
+        assert live["service.query"] == 1
+        assert live["service.errors"] == 1
 
 
 # ---------------------------------------------------------------------------

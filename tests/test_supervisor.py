@@ -273,7 +273,7 @@ class TestTraceRelay:
                   and e.get("name") == "shard.run"
                   and e.get("shard") == 1]
         assert [e.get("attempt") for e in closes] == [1]
-        assert hub.counters["telemetry.relayed"] > 0
+        assert hub.metrics.counters["telemetry.relayed"] > 0
 
     def test_killed_hung_attempt_leaves_span_start(self):
         jobs = make_jobs(1)

@@ -17,8 +17,9 @@ import pytest
 
 from repro.lang import compile_source
 from repro.observability import (NULL, SCHEMA_VERSION, JsonlSink,
-                                 MemorySink, NullTelemetry, Telemetry,
-                                 TraceContext, child_hub, current,
+                                 MemorySink, NullMetrics, NullTelemetry,
+                                 Telemetry, TraceContext, child_hub,
+                                 current,
                                  emit_tracker_stats, measure_overhead,
                                  opcode_class_counts, read_jsonl,
                                  set_current, slot_collision_counts,
@@ -115,17 +116,26 @@ class TestHub:
         hub.close()
 
     def test_counters_gauges_timers(self):
-        hub = Telemetry(sink=MemorySink())
-        hub.inc("a")
-        hub.inc("a", 4)
-        hub.gauge("g", 7)
-        hub.timer_add("t", 0.5)
-        hub.timer_add("t", 0.25)
-        assert hub.counters["a"] == 5
-        assert hub.gauges["g"] == 7
-        count, total = hub.timers["t"]
-        assert count == 2 and total == pytest.approx(0.75)
+        sink = MemorySink()
+        hub = Telemetry(sink=sink)
+        metrics = hub.metrics
+        metrics.inc("a")
+        metrics.inc("a", 4)
+        metrics.gauge("g", 7)
+        metrics.observe("t", 0.5)
+        metrics.observe("t", 0.25)
+        assert metrics.counters["a"] == 5
+        assert metrics.gauges["g"] == 7
+        timer = metrics.histograms["t"]
+        assert timer.count == 2 and timer.sum_s == pytest.approx(0.75)
         hub.close()
+        # flush() exports the registry in the summary-event shapes.
+        summary = {e["ev"]: e for e in sink.events
+                   if e["ev"] in ("counters", "gauges", "timers")}
+        assert summary["counters"]["counters"] == {"a": 5}
+        assert summary["gauges"]["gauges"] == {"g": 7}
+        assert summary["timers"]["timers"] == {
+            "t": {"n": 2, "total": 0.75}}
 
     def test_span_records_event_and_timer(self):
         sink = MemorySink()
@@ -138,7 +148,7 @@ class TestHub:
         assert spans[0]["name"] == "phase.x"
         assert spans[0]["detail"] == 1
         assert "dur" in spans[0]
-        assert "phase.x" in hub.timers
+        assert hub.metrics.histograms["phase.x"].count == 1
 
     def test_vm_run_event_and_opcode_counters(self):
         program = _stress_program()
@@ -149,11 +159,12 @@ class TestHub:
         runs = [e for e in sink.events if e["ev"] == "vm.run"]
         assert len(runs) == 1
         assert runs[0]["instructions"] == vm.instr_count
-        classes = {k for k in hub.counters if k.startswith("vm.instr[")}
+        counters = hub.metrics.counters
+        classes = {k for k in counters if k.startswith("vm.instr[")}
         assert "vm.instr[alloc]" in classes
         assert "vm.instr[heap_write]" in classes
         # Per-class counts add up to the full instruction stream.
-        total = sum(v for k, v in hub.counters.items()
+        total = sum(v for k, v in counters.items()
                     if k.startswith("vm.instr["))
         assert total == vm.instr_count
 
@@ -228,8 +239,9 @@ class TestDerivedStats:
         assert names == {"hrac", "hrab"}
         spans = [e for e in sink.events if e["ev"] == "span"]
         assert any(s["name"] == "batch.freeze" for s in spans)
-        assert "batch.scc[hrac]" in hub.timers
-        assert "batch.propagation[hrab]" in hub.timers
+        timers = hub.metrics.histograms
+        assert "batch.scc[hrac]" in timers
+        assert "batch.propagation[hrab]" in timers
 
 
 # -- JSONL sink --------------------------------------------------------------
@@ -395,7 +407,7 @@ class TestTracing:
         hub.relay(foreign)
         hub.close()
         assert foreign in sink.events
-        assert hub.counters["telemetry.relayed"] == 1
+        assert hub.metrics.counters["telemetry.relayed"] == 1
 
     def test_read_jsonl_skips_truncated_trailing_line(self, tmp_path):
         path = tmp_path / "cut.jsonl"
@@ -447,11 +459,29 @@ class TestOverhead:
 # -- disabled-mode bench guard ----------------------------------------------
 
 
+class _CountingMetrics(NullMetrics):
+    """A disabled registry that counts every call into its hub."""
+
+    def __init__(self, hub):
+        self.hub = hub
+
+    def inc(self, name, delta=1):
+        self.hub.calls += 1
+
+    def gauge(self, name, value):
+        self.hub.calls += 1
+
+    def observe(self, name, seconds):
+        self.hub.calls += 1
+
+
 class _CountingNull(NullTelemetry):
-    """A disabled hub that records every call the VM makes into it."""
+    """A disabled hub that records every call the VM makes into it
+    (its metrics registry included)."""
 
     def __init__(self):
         self.calls = 0
+        self.metrics = _CountingMetrics(self)
 
     def vm_sample(self, vm, stack, count):
         self.calls += 1
@@ -461,9 +491,6 @@ class _CountingNull(NullTelemetry):
         self.calls += 1
 
     def event(self, kind, **fields):
-        self.calls += 1
-
-    def inc(self, name, delta=1):
         self.calls += 1
 
 

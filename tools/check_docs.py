@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs-consistency check: the CLI + service surface must be documented.
 
-Three cross-checks, all driven by introspection so the docs cannot
+Five cross-checks, all driven by introspection so the docs cannot
 drift from the code:
 
 1. Every subcommand (nested ones included, e.g. ``client push``) and
@@ -20,6 +20,9 @@ drift from the code:
    bound of ``LATENCY_BUCKETS``, and the flight recorder's default
    ring capacity — so the documented numbers cannot drift from
    ``repro.observability``.
+5. Every ``.member`` that ``docs/API.md`` lists for ``Telemetry``,
+   ``NullTelemetry`` and ``MetricsRegistry`` must exist on an instance
+   of that class, so a row naming a removed method fails.
 
 Usage::
 
@@ -184,11 +187,46 @@ def check_metrics_constants(missing):
     return checked
 
 
+#: API.md rows checked by :func:`check_api_members`: the first cell's
+#: leading text, and the class whose instance must carry the members.
+API_MEMBER_ROWS = (("`Telemetry(", "Telemetry"),
+                   ("`NullTelemetry`", "NullTelemetry"),
+                   ("`MetricsRegistry(", "MetricsRegistry"))
+
+
+def check_api_members(missing):
+    """API.md's `.member` names must exist on the classes they describe."""
+    from repro import observability
+    instances = {
+        "Telemetry": observability.Telemetry(
+            sink=observability.MemorySink()),
+        "NullTelemetry": observability.NullTelemetry(),
+        "MetricsRegistry": observability.MetricsRegistry(),
+    }
+    rows = {}
+    for line in (REPO / "docs" / "API.md").read_text().splitlines():
+        for prefix, name in API_MEMBER_ROWS:
+            if line.startswith(f"| {prefix}"):
+                rows[name] = line.split("|")[2]
+    checked = 0
+    for _prefix, name in API_MEMBER_ROWS:
+        if name not in rows:
+            missing.append(f"API.md row: `{name}`")
+            continue
+        for member in re.findall(r"`\.([A-Za-z_]\w*)", rows[name]):
+            checked += 1
+            if not hasattr(instances[name], member):
+                missing.append(f"API.md lists `{name}.{member}`, "
+                               f"which does not exist")
+    return checked
+
+
 def main() -> int:
     missing = []
     n_sub, n_opt = check_cli(missing)
     n_proto = check_service_protocol(missing)
     n_metrics = check_metrics_constants(missing)
+    n_members = check_api_members(missing)
     if missing:
         print("surface missing from the docs "
               f"({', '.join(DOC_FILES)}):", file=sys.stderr)
@@ -196,8 +234,8 @@ def main() -> int:
             print(f"  {entry}", file=sys.stderr)
         return 1
     print(f"docs cover {n_sub} subcommands, {n_opt} options, "
-          f"{n_proto} service protocol names, and {n_metrics} "
-          f"metrics constants")
+          f"{n_proto} service protocol names, {n_metrics} metrics "
+          f"constants, and {n_members} API members")
     return 0
 
 
