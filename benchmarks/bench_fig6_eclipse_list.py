@@ -63,7 +63,7 @@ def test_fig6_low_utility_list(benchmark, results_dir):
     program, tracker, vm = benchmark.pedantic(run, rounds=1,
                                               iterations=1)
     reports = analyze_cost_benefit(tracker.graph, program,
-                                   heap=vm.heap)
+                                   alloc_counts=vm.heap.site_counts)
     assert reports, "no cost-benefit data"
 
     by_what = {}

@@ -79,9 +79,10 @@ def test_phase_restricted_tracking(benchmark, results_dir):
     assert added_reduction > 1.5
 
     # The findings survive: the transaction-path bloat still ranks.
+    steady_counts = data["steady_vm"].heap.site_counts
     reports = analyze_cost_benefit(data["steady_tracker"].graph,
                                    data["program"],
-                                   heap=data["steady_vm"].heap)
+                                   alloc_counts=steady_counts)
     top_methods = " | ".join(r.method + " " + r.what
                              for r in reports[:8])
     assert ("KeyBlock" in top_methods or "Soap" in top_methods

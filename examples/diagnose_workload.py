@@ -64,7 +64,8 @@ def main():
         print()
 
     print("== object cost-benefit ranking (Definition 7, n = 4) ==")
-    reports = analyze_cost_benefit(graph, program, heap=vm.heap)
+    reports = analyze_cost_benefit(graph, program,
+                                   alloc_counts=vm.heap.site_counts)
     print(format_cost_benefit_report(reports, top=8))
     print()
 
@@ -84,7 +85,7 @@ def main():
               f"{entry.condition_cost:.0f})")
 
     if args.telemetry:
-        emit_tracker_stats(current(), tracker)
+        emit_tracker_stats(current(), graph, tracker.state())
         current().close()
         set_current(NULL)
         print()

@@ -46,7 +46,7 @@ def main():
     # The findings survive: the steady-phase graph still ranks the
     # transaction-path bloat at the top.
     reports = analyze_cost_benefit(steady_tracker.graph, program,
-                                   heap=steady_vm.heap)
+                                   alloc_counts=steady_vm.heap.site_counts)
     print("top sites from steady-only tracking:")
     for report in reports[:5]:
         print(f"  {report.what:<24} ratio={report.ratio} "

@@ -51,7 +51,8 @@ class ProfileResult:
     def top_offenders(self, top: int = 10, **kwargs):
         from .analyses import analyze_cost_benefit
         return analyze_cost_benefit(self.graph, self.program,
-                                    heap=self.vm.heap, **kwargs)[:top]
+                                    alloc_counts=self.vm.heap.site_counts,
+                                    **kwargs)[:top]
 
     def bloat_metrics(self):
         from .analyses import measure_bloat

@@ -60,14 +60,16 @@ def _site_descriptions(program):
 
 def analyze_cost_benefit(graph: DependenceGraph, program,
                          depth: int = DEFAULT_TREE_DEPTH,
-                         heap=None,
+                         alloc_counts=None,
                          native_benefit: str = "infinite",
                          include_zero: bool = False):
     """Produce ranked :class:`SiteReport` entries, worst offenders first.
 
-    ``heap`` (a :class:`repro.vm.heap.Heap`) adds per-site allocation
-    counts to the report.  Sites with no field activity at all are
-    omitted unless ``include_zero``.
+    ``alloc_counts`` (allocations per site iid, e.g. a VM heap's
+    ``site_counts`` or a merged profile's
+    :attr:`~repro.profiler.parallel.AggregateProfile.alloc_counts`)
+    fills in each report's ``allocations``.  Sites with no field
+    activity at all are omitted unless ``include_zero``.
     """
     summaries = all_object_cost_benefits(graph, depth,
                                          native_benefit=native_benefit)
@@ -93,9 +95,9 @@ def analyze_cost_benefit(graph: DependenceGraph, program,
         entry.fields.extend(summary.fields)
 
     reports = list(by_site.values())
-    if heap is not None:
+    if alloc_counts is not None:
         for report in reports:
-            report.allocations = heap.site_counts.get(report.iid, 0)
+            report.allocations = alloc_counts.get(report.iid, 0)
     if not include_zero:
         reports = [r for r in reports if r.n_rac > 0 or r.n_rab > 0]
     reports.sort(key=lambda r: (r.ratio, r.n_rac), reverse=True)

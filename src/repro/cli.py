@@ -137,19 +137,13 @@ def _load_program(path: str, use_stdlib: bool):
         return compile_source(source)
 
 
-def _print_reports(program, graph, which: str, top: int, *,
-                   heap=None, instr_count: int = 0,
-                   branch_outcomes=None, return_nodes=None):
+def _print_reports(program, profile, which: str, top: int):
     from .observability import current
     with current().span("analyze", report=which):
-        _print_reports_body(
-            program, graph, which, top, heap=heap,
-            instr_count=instr_count, branch_outcomes=branch_outcomes,
-            return_nodes=return_nodes)
+        _print_reports_body(program, profile, which, top)
 
 
-def _print_reports_body(program, graph, which, top, *, heap,
-                        instr_count, branch_outcomes, return_nodes):
+def _print_reports_body(program, profile, which, top):
     from .analyses import (analyze_caches, analyze_cost_benefit,
                            constant_predicates, dead_lines,
                            format_bloat_metrics, format_cache_report,
@@ -159,15 +153,17 @@ def _print_reports_body(program, graph, which, top, *, heap,
                            method_costs, return_costs,
                            write_read_imbalances)
 
+    graph, state = profile.graph, profile.state
     if which in ("cost-benefit", "all"):
         print("== object cost-benefit (n-RAC / n-RAB) ==")
-        reports = analyze_cost_benefit(graph, program, heap=heap)
+        reports = analyze_cost_benefit(
+            graph, program, alloc_counts=profile.alloc_counts)
         print(format_cost_benefit_report(reports, top=top))
         print()
     if which in ("bloat", "all"):
         print("== ultimately-dead values ==")
-        print(format_bloat_metrics("program",
-                                   measure_bloat(graph, instr_count)))
+        print(format_bloat_metrics(
+            "program", measure_bloat(graph, profile.instructions)))
         print()
     if which in ("dead", "all"):
         print("== ultimately-dead work by source line ==")
@@ -182,7 +178,7 @@ def _print_reports_body(program, graph, which, top, *, heap,
         print()
     if which in ("returns", "all"):
         print("== return-value costs ==")
-        for entry in return_costs(graph, return_nodes or {},
+        for entry in return_costs(graph, state.return_nodes,
                                   program, top=top):
             print(f"  {entry.method:<40} "
                   f"x{entry.returns_observed:<6} "
@@ -195,8 +191,7 @@ def _print_reports_body(program, graph, which, top, *, heap,
         print()
     if which in ("predicates", "all"):
         print("== always-true/false predicates ==")
-        for entry in constant_predicates(graph,
-                                         branch_outcomes or {},
+        for entry in constant_predicates(graph, state.branch_outcomes,
                                          program)[:top]:
             print(f"  line {entry.line}: always-{entry.always} "
                   f"x{entry.executions} cost="
@@ -235,142 +230,19 @@ def cmd_profile(args):
         return _cmd_profile(args)
 
 
-def _sampling_banner(stats) -> float:
-    """Print the estimate disclaimer for a sampled profile; return the
-    frequency scale factor."""
-    factor = stats.get("factor") or 1.0
-    tracked = stats["tracked_instructions"]
-    total = stats["total_instructions"]
-    duty = tracked / total if total else 0.0
-    print(f"sampling: tracked {tracked}/{total} instructions "
-          f"({duty:.2%} duty, {stats['toggles']} toggles); "
-          f"frequencies scaled x{factor:.1f}")
-    print("sampling: frequencies below are estimates; dead/bloat "
-          "classification requires an exact (unsampled) run")
-    return factor
-
-
 def _cmd_profile(args):
-    import time
-    runs = args.runs if args.runs is not None else max(args.jobs, 1)
-    if args.jobs > 1 or runs > 1 or args.resume:
-        return _profile_parallel(args, runs)
-    from .profiler import CostTracker, parse_sample_spec, save_graph
-    from .vm import VM
-    program = _load_program(args.file, not args.no_stdlib)
-    tracker = CostTracker(slots=args.slots,
-                          phases=set(args.phases) if args.phases
-                          else None)
-    vm = VM(program, tracer=tracker, max_steps=args.max_steps,
-            exec_mode=args.exec_mode,
-            sampling=parse_sample_spec(args.sample))
-    start = time.perf_counter()
-    vm.run()
-    tracked_wall = time.perf_counter() - start
-    print(f"output: {vm.stdout()!r}")
-    print(f"instructions: {vm.instr_count}; graph: "
-          f"{tracker.graph.num_nodes} nodes / "
-          f"{tracker.graph.num_edges} edges; "
-          f"CR: {tracker.conflict_ratio():.3f}; "
-          f"tier: {vm.exec_tier}")
-    sampling_stats = vm.sampling_stats()
-    raw_freq = None
-    if sampling_stats is not None:
-        from .profiler import apply_sampling_scale
-        factor = _sampling_banner(sampling_stats)
-        # Reports read estimated (scaled) frequencies; the graph is
-        # restored to raw sampled counts before it is saved, so the
-        # file stays mergeable with other shards.
-        raw_freq = apply_sampling_scale(tracker.graph, factor)
-    print()
-    overhead = None
-    if args.self_profile:
-        from .observability import (OverheadReport, current,
-                                    time_untracked)
-        overhead = OverheadReport(
-            untracked_wall=time_untracked(program,
-                                          max_steps=args.max_steps),
-            tracked_wall=tracked_wall,
-            instructions=vm.instr_count,
-            nodes=tracker.graph.num_nodes,
-            edges=tracker.graph.num_edges)
-        hub = current()
-        if hub.enabled:
-            hub.event("overhead", **overhead.as_dict())
-        print(overhead.format())
-        print()
-    if args.telemetry:
-        from .observability import current, emit_tracker_stats
-        emit_tracker_stats(current(), tracker)
-    if args.explain is not None:
-        from .analyses import explain_site
-        print(explain_site(tracker.graph, program, args.explain))
-        print()
-    _print_reports(program, tracker.graph, args.report, args.top,
-                   heap=vm.heap, instr_count=vm.instr_count,
-                   branch_outcomes=tracker.branch_outcomes,
-                   return_nodes=tracker.return_nodes)
-    if raw_freq is not None and (args.save_graph or args.push):
-        # Saved/pushed profiles always carry raw sampled counts so
-        # they stay mergeable with other shards.
-        tracker.graph.freq = raw_freq
-    if args.push:
-        from .profiler.serialize import graph_to_dict
-        meta = {"label": "run0",
-                "instructions": vm.instr_count,
-                "output": vm.stdout(),
-                "exec_mode": vm.exec_tier}
-        if sampling_stats is not None:
-            meta["sampling"] = sampling_stats
-        shard = graph_to_dict(tracker.graph, meta=meta, tracker=tracker)
-        _push_shards(args.push, args.tenant, [(0, shard)])
-    if args.save_graph:
-        meta = {"instructions": vm.instr_count,
-                "slots": args.slots,
-                "output": vm.stdout(),
-                "exec_mode": vm.exec_tier}
-        if sampling_stats is not None:
-            meta["sampling"] = sampling_stats
-        if overhead is not None:
-            meta["overhead"] = overhead.as_dict()
-        save_graph(tracker.graph, args.save_graph, meta=meta,
-                   tracker=tracker)
-        print(f"graph written to {args.save_graph}")
-    return 0
+    """Profile ``runs`` executions of one program into one Gcost.
 
-
-def _push_shards(addr, tenant, indexed_shards) -> None:
-    """Stream already-serialized shards to a resident daemon.
-
-    Push failures warn and stop pushing; they never fail the profile
-    run that produced the shards (the local reports already printed).
+    One run without ``--resume`` runs in-process on the program
+    already loaded for the reports: no child rebuilds the frontend and
+    tier, and a VM error exits 1.  Otherwise the jobs run over
+    ``--jobs`` supervised workers (retries / timeouts / checkpoints;
+    docs/RESILIENCE.md) and merge.  Both end in one reporting tail.
     """
-    from .service import ServiceClient, ShardPusher
-    try:
-        client = ServiceClient(addr)
-    except (ConnectionError, OSError) as error:
-        print(f"repro: warning: cannot reach daemon at {addr!r} "
-              f"({error}); shards stay local", file=sys.stderr)
-        return
-    try:
-        pusher = ShardPusher(client, tenant)
-        for index, shard in indexed_shards:
-            pusher(index, shard)
-        pusher.flush()
-    finally:
-        client.close()
-    if pusher.error is None:
-        print(f"push: {pusher.pushed} shard(s) -> {addr} "
-              f"(tenant {tenant!r})")
-
-
-def _profile_parallel(args, runs: int):
-    """Sharded profiling: ``runs`` executions over ``--jobs`` workers,
-    supervised (retries / timeouts / checkpoints; docs/RESILIENCE.md)
-    and merged into one Gcost before reporting."""
-    from .profiler import (ProfileJob, ShardPolicy, SupervisedProfiler,
-                           parse_sample_spec, save_graph)
-    from .testing.faults import FaultPlan
+    from .profiler import (AggregateProfile, CostTracker, ProfileJob,
+                           RunReport, ShardPolicy, ShardResult,
+                           SupervisedProfiler, parse_sample_spec)
+    runs = args.runs if args.runs is not None else max(args.jobs, 1)
     program = _load_program(args.file, not args.no_stdlib)
     sampling = parse_sample_spec(args.sample)
     jobs = [ProfileJob.from_file(args.file,
@@ -380,111 +252,135 @@ def _profile_parallel(args, runs: int):
                                  exec_mode=args.exec_mode,
                                  sampling=sampling)
             for i in range(runs)]
-    policy = ShardPolicy(timeout_s=args.shard_timeout,
-                         max_retries=args.max_retries,
-                         strict=args.strict)
-    pusher = push_client = None
+    phases = set(args.phases) if args.phases else None
+    sharded = runs > 1 or bool(args.resume)
+    pusher = None
     if args.push:
         from .service import ServiceClient, ShardPusher
         try:
-            push_client = ServiceClient(args.push)
-            pusher = ShardPusher(push_client, args.tenant)
+            pusher = ShardPusher(ServiceClient(args.push), args.tenant)
         except (ConnectionError, OSError) as error:
             print(f"repro: warning: cannot reach daemon at "
                   f"{args.push!r} ({error}); shards stay local",
                   file=sys.stderr)
-    profiler = SupervisedProfiler(workers=args.jobs, slots=args.slots,
-                                  phases=set(args.phases) if args.phases
-                                  else None,
-                                  policy=policy,
-                                  checkpoint=args.resume,
-                                  fault_plan=FaultPlan.from_env(),
-                                  on_shard=pusher)
     try:
-        run = profiler.profile(jobs)
+        if sharded:
+            from .testing.faults import FaultPlan
+            policy = ShardPolicy(timeout_s=args.shard_timeout,
+                                 max_retries=args.max_retries,
+                                 strict=args.strict)
+            run = SupervisedProfiler(workers=args.jobs, slots=args.slots,
+                                     phases=phases, policy=policy,
+                                     checkpoint=args.resume,
+                                     fault_plan=FaultPlan.from_env(),
+                                     on_shard=pusher).profile(jobs)
+            result, report = run.profile, run.report
+        else:
+            tracker = CostTracker(slots=args.slots, phases=phases)
+            meta = jobs[0].run(program, tracker)
+            result = AggregateProfile(graph=tracker.graph,
+                                      state=tracker.state(), metas=[meta])
+            report = RunReport([ShardResult(0, meta["label"], "ok",
+                                            attempts=1,
+                                            wall_s=meta["run_wall_s"])])
+            if pusher is not None:
+                from .profiler import graph_to_dict
+                pusher(0, graph_to_dict(result.graph, meta=meta,
+                                        tracker=result.state))
     finally:
         if pusher is not None:
             pusher.flush()
-            push_client.close()
+            pusher.client.close()
     if pusher is not None and pusher.error is None:
         print(f"push: {pusher.pushed} shard(s) -> {args.push} "
               f"(tenant {args.tenant!r})")
-    report = run.report
-    if run.profile is None:
+    return _report_profile(args, program, result, report, sharded)
+
+
+def _report_profile(args, program, result, report, sharded):
+    """The reporting tail of ``repro profile``: header, sampling
+    estimate, overhead, tracker stats, explain, reports, save."""
+    if result is None:
         print("no shard survived; nothing to report:", file=sys.stderr)
         print(report.format(), file=sys.stderr)
         return EXIT_RUNTIME
-    result = run.profile
-    graph = result.graph
-    print(f"shards: {runs} runs over {args.jobs} worker(s)")
-    resumed = len(report.by_status("resumed"))
-    if resumed or report.retries or report.degraded:
+    graph, metas = result.graph, result.metas
+    what = "merged graph" if sharded else "graph"
+    if sharded:
+        print(f"shards: {len(report.shards)} runs over {args.jobs} "
+              f"worker(s)")
+    if report.by_status("resumed", "salvaged") or report.retries \
+            or report.degraded:
         print(report.format())
     print(f"output: {result.outputs[0]!r}")
-    print(f"instructions: {result.instructions}; merged graph: "
+    print(f"instructions: {result.instructions}; {what}: "
           f"{graph.num_nodes} nodes / {graph.num_edges} edges; "
           f"CR: {result.conflict_ratio():.3f}; "
-          f"tier: {result.metas[0].get('exec_mode', 'interp')}")
+          f"tier: {metas[0].get('exec_mode')}")
     raw_freq = None
     if result.sampled:
+        # Reports read estimated (scaled) frequencies; the graph is
+        # restored to raw sampled counts before it is saved, so the
+        # file stays mergeable with other shards.
         from .profiler import apply_sampling_scale
-        shard_stats = [meta.get("sampling") for meta in result.metas]
-        totals = {
-            "tracked_instructions": sum(
-                s["tracked_instructions"] for s in shard_stats if s),
-            "total_instructions": result.instructions,
-            "toggles": sum(s["toggles"] for s in shard_stats if s),
-            "factor": result.sampling_factor,
-        }
-        _sampling_banner(totals)
-        raw_freq = apply_sampling_scale(graph, result.sampling_factor)
+        stats = [meta["sampling"] for meta in metas
+                 if meta.get("sampling")]
+        tracked = sum(s["tracked_instructions"] for s in stats)
+        total = result.instructions
+        duty = tracked / total if total else 0.0
+        factor = result.sampling_factor
+        print(f"sampling: tracked {tracked}/{total} instructions "
+              f"({duty:.2%} duty, {sum(s['toggles'] for s in stats)} "
+              f"toggles); frequencies scaled x{factor:.1f}")
+        print("sampling: frequencies below are estimates; dead/bloat "
+              "classification requires an exact (unsampled) run")
+        raw_freq = apply_sampling_scale(graph, factor)
     print()
     overhead = None
     if args.self_profile:
-        # Parallel analogue: per-shard tracked execution wall (mean
-        # over shards) against one untracked run of the same program.
+        # Mean tracked run wall per shard against one untracked run.
         from .observability import OverheadReport, current, time_untracked
-        walls = [meta.get("run_wall_s", meta.get("wall_s", 0.0))
-                 for meta in result.metas]
+        walls = [meta.get("run_wall_s", 0.0) for meta in metas]
         overhead = OverheadReport(
             untracked_wall=time_untracked(program,
                                           max_steps=args.max_steps),
-            tracked_wall=sum(walls) / len(walls) if walls else 0.0,
-            instructions=result.instructions // max(runs, 1),
+            tracked_wall=sum(walls) / len(walls),
+            instructions=result.instructions // len(metas),
             nodes=graph.num_nodes, edges=graph.num_edges,
-            repeats=runs)
+            repeats=len(metas))
         hub = current()
         if hub.enabled:
             hub.event("overhead", **overhead.as_dict())
         print(overhead.format())
         print()
+    if args.telemetry:
+        from .observability import current, emit_tracker_stats
+        emit_tracker_stats(current(), graph, result.state)
     if args.explain is not None:
         from .analyses import explain_site
         print(explain_site(graph, program, args.explain))
         print()
-    _print_reports(program, graph, args.report, args.top,
-                   instr_count=result.instructions,
-                   branch_outcomes=result.state.branch_outcomes,
-                   return_nodes=result.state.return_nodes)
+    _print_reports(program, result, args.report, args.top)
     if args.save_graph:
+        from .profiler import save_graph
         if raw_freq is not None:
             graph.freq = raw_freq
         meta = {"instructions": result.instructions,
                 "slots": args.slots,
-                "runs": runs,
                 "output": result.outputs[0],
-                "exec_mode": result.metas[0].get("exec_mode")}
+                "exec_mode": metas[0].get("exec_mode")}
+        if len(report.shards) > 1:
+            meta["runs"] = len(report.shards)
         if result.sampled:
             meta["sampling_factor"] = result.sampling_factor
-            meta["shard_sampling"] = [m.get("sampling")
-                                      for m in result.metas]
+            meta["shard_sampling"] = [m.get("sampling") for m in metas]
         if overhead is not None:
             meta["overhead"] = overhead.as_dict()
         if report.degraded:
             meta["degraded"] = report.as_dict()
         save_graph(graph, args.save_graph, meta=meta,
                    tracker=result.state)
-        print(f"merged graph written to {args.save_graph}")
+        print(f"{what} written to {args.save_graph}")
     return EXIT_DEGRADED if report.degraded else EXIT_OK
 
 

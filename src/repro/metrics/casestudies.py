@@ -80,8 +80,9 @@ def run_case_study(spec, scale=None, top: int = 10,
     tracker = CostTracker(slots=profile_slots)
     traced_vm = VM(unopt, tracer=tracker)
     traced_vm.run()
+    alloc_counts = traced_vm.heap.site_counts
     reports = analyze_cost_benefit(tracker.graph, unopt,
-                                   heap=traced_vm.heap)[:top]
+                                   alloc_counts=alloc_counts)[:top]
 
     return CaseStudyResult(
         name=spec.name,

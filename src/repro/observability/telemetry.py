@@ -564,19 +564,20 @@ def opcode_class_counts(vm) -> dict:
     return counts
 
 
-def slot_collision_counts(tracker) -> dict:
+def slot_collision_counts(graph, state) -> dict:
     """Context-slot collision counts: slot ``d`` -> extra contexts.
 
     A collision happens when several distinct encoded contexts of one
     static instruction hash to the same context slot (the conflation
     the conflict ratio of §2.3 averages).  For every graph node with a
-    recorded context set, ``len(set) - 1`` contexts beyond the first
-    are conflated into its slot; summing per slot shows which of the
-    ``s`` slots absorb the conflation.
+    recorded context set in ``state`` (a
+    :class:`~repro.profiler.state.TrackerState`), ``len(set) - 1``
+    contexts beyond the first are conflated into its slot; summing per
+    slot shows which of the ``s`` slots absorb the conflation.
     """
     collisions = {}
-    node_keys = tracker.graph.node_keys
-    for node, gs in enumerate(tracker._node_gs):
+    node_keys = graph.node_keys
+    for node, gs in enumerate(state.node_gs):
         if not gs or len(gs) <= 1:
             continue
         slot = node_keys[node][1]
@@ -584,24 +585,26 @@ def slot_collision_counts(tracker) -> dict:
     return collisions
 
 
-def emit_tracker_stats(telemetry, tracker) -> None:
-    """Flush tracker-side health statistics into the hub.
+def emit_tracker_stats(telemetry, graph, state) -> None:
+    """Flush tracker-side health statistics of a profile into the hub.
 
-    Emits a ``tracker`` event (graph size, memory estimate, CR,
-    per-slot collision counts) and mirrors the headline numbers as
-    gauges.  Cold path — call once per run, after execution.
+    ``graph``/``state`` are a finished profile's Gcost and
+    :class:`~repro.profiler.state.TrackerState` — one run's or a
+    merged campaign's.  Emits a ``tracker`` event (graph size, memory
+    estimate, CR, per-slot collision counts) and mirrors the headline
+    numbers as gauges.  Cold path — call once per profile, after
+    execution.
     """
     if not telemetry.enabled:
         return
-    graph = tracker.graph
-    cr = tracker.conflict_ratio()
-    collisions = slot_collision_counts(tracker)
+    cr = state.conflict_ratio(graph)
+    collisions = slot_collision_counts(graph, state)
     metrics = telemetry.metrics
     metrics.gauge("tracker.nodes", graph.num_nodes)
     metrics.gauge("tracker.edges", graph.num_edges)
     metrics.gauge("tracker.memory_bytes", graph.memory_bytes())
     metrics.gauge("tracker.cr", round(cr, 6))
-    telemetry.event("tracker", slots=tracker.slots,
+    telemetry.event("tracker", slots=graph.slots,
                     nodes=graph.num_nodes, edges=graph.num_edges,
                     ref_edges=len(graph.ref_edges),
                     memory_bytes=graph.memory_bytes(),

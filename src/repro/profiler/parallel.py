@@ -30,8 +30,10 @@ normal form.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
+from ..vm.errors import VMError
 from .errors import ProfileInputError
 from .graph import DependenceGraph
 from .state import TrackerState
@@ -130,11 +132,47 @@ class ProfileJob:
         from .sampling import SampleSchedule
         return SampleSchedule.from_dict(self.sampling)
 
-    def make_vm(self, program, tracker):
-        """Build the VM for this job (runs inside the worker)."""
+    def run(self, program, tracker, salvage: bool = False) -> dict:
+        """Run this job's VM on ``program`` under ``tracker``; return
+        the shard meta.
+
+        The one meta builder of the runtime: the supervised worker,
+        :func:`profile_jobs_sequential` and the CLI's in-process run
+        all report a shard as ``label`` / ``instructions`` / ``output``
+        / ``exec_mode`` / ``run_wall_s`` / ``site_counts`` (allocations
+        per site, keyed by the iid as a string) plus ``sampling`` under
+        a schedule.  A :class:`~repro.vm.errors.VMError` propagates
+        unless ``salvage``: then the graph-so-far stays a valid, merely
+        incomplete profile and the meta is flagged ``partial`` with the
+        error recorded (the VM keeps ``instr_count`` and the sampling
+        windows coherent when a fault escapes, so even a salvaged
+        shard's accounting is exact and a retry replays it
+        identically).
+        """
         from ..vm import VM
-        return VM(program, tracer=tracker, max_steps=self.max_steps,
-                  exec_mode=self.exec_mode, sampling=self.schedule())
+        vm = VM(program, tracer=tracker, max_steps=self.max_steps,
+                exec_mode=self.exec_mode, sampling=self.schedule())
+        meta = {"label": self.label}
+        start = time.perf_counter()
+        try:
+            vm.run()
+        except VMError as error:
+            if not salvage:
+                raise
+            meta.update(partial=True, error=str(error),
+                        error_type=type(error).__name__)
+        # String iids: a checkpoint's JSON round trip must not reorder
+        # the keys its checksum was taken over.
+        site_counts = {str(site): count
+                       for site, count in vm.heap.site_counts.items()}
+        meta.update(instructions=vm.instr_count, output=vm.stdout(),
+                    exec_mode=vm.exec_tier or vm.exec_mode,
+                    run_wall_s=round(time.perf_counter() - start, 6),
+                    site_counts=site_counts)
+        stats = vm.sampling_stats()
+        if stats is not None:
+            meta["sampling"] = stats
+        return meta
 
     def build(self):
         """Compile this job's program (runs inside the worker)."""
@@ -371,6 +409,17 @@ class AggregateProfile:
         return [meta.get("output", "") for meta in self.metas]
 
     @property
+    def alloc_counts(self) -> dict:
+        """Allocations per site iid (an int), summed over all shards'
+        ``site_counts``."""
+        counts = {}
+        for meta in self.metas:
+            for site, count in (meta.get("site_counts") or {}).items():
+                site = int(site)
+                counts[site] = counts.get(site, 0) + count
+        return counts
+
+    @property
     def sampled(self) -> bool:
         """True when at least one shard ran under a sampling schedule."""
         return any(meta.get("sampling") for meta in self.metas)
@@ -410,15 +459,6 @@ def profile_jobs_sequential(jobs, slots: int = 16, phases=None,
     for job in jobs:
         program = job.build()
         tracker.begin_run()
-        vm = job.make_vm(program, tracker)
-        vm.run()
-        meta = {"label": job.label,
-                "instructions": vm.instr_count,
-                "output": vm.stdout(),
-                "exec_mode": vm.exec_tier or vm.exec_mode}
-        stats = vm.sampling_stats()
-        if stats is not None:
-            meta["sampling"] = stats
-        metas.append(meta)
+        metas.append(job.run(program, tracker))
     return AggregateProfile(graph=tracker.graph, state=tracker.state(),
                             metas=metas)

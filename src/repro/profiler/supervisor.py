@@ -50,7 +50,6 @@ from multiprocessing import connection as _mpconn
 from ..observability.telemetry import (NULL, PipeSink, child_hub,
                                        set_current)
 from ..observability.telemetry import current as _current_telemetry
-from ..vm.errors import VMError
 from .checkpoint import jobs_fingerprint, load_checkpoint, write_checkpoint
 from .errors import ProfileInputError, ShardFailedError
 from .parallel import AggregateProfile, merge_graphs
@@ -190,37 +189,19 @@ def _run_job_salvaging(job, slots, phases, track_cr, track_control,
                        trace=None) -> dict:
     """Build + run one shard, salvaging VM faults into a partial profile.
 
-    The VM's containment contract (``instr_count`` and phase windows
-    stay coherent when a :class:`VMError` escapes) means the tracker's
-    graph-so-far is a valid — merely incomplete — profile; it ships
-    back flagged ``partial`` with the error recorded, so one
-    budget-blown shard degrades the run instead of failing it.
-    ``trace`` (the worker's span context) travels in the shard meta so
-    saved profiles can be joined back to their telemetry stream.
+    :meth:`ProfileJob.run` with ``salvage=True`` builds the meta, so
+    one budget-blown shard ships back flagged ``partial`` and degrades
+    the run instead of failing it.  ``wall_s`` adds the build to the
+    run's wall.  ``trace`` (the worker's span context) travels in the
+    shard meta so saved profiles can be joined back to their telemetry
+    stream.
     """
     start = time.perf_counter()
     program = job.build()
     tracker = CostTracker(slots=slots, phases=phases, track_cr=track_cr,
                           track_control=track_control)
-    vm = job.make_vm(program, tracker)
-    meta = {"label": job.label}
-    run_start = time.perf_counter()
-    try:
-        vm.run()
-    except VMError as error:
-        meta["partial"] = True
-        meta["error"] = str(error)
-        meta["error_type"] = type(error).__name__
-    meta.update(instructions=vm.instr_count, output=vm.stdout(),
-                exec_mode=vm.exec_tier or vm.exec_mode,
-                run_wall_s=round(time.perf_counter() - run_start, 6),
-                wall_s=round(time.perf_counter() - start, 6))
-    # The window schedule is a pure function of the instruction count,
-    # so even a salvaged (fault-contained) shard's accounting is exact
-    # up to the recorded instr_count — a retry replays it identically.
-    stats = vm.sampling_stats()
-    if stats is not None:
-        meta["sampling"] = stats
+    meta = job.run(program, tracker, salvage=True)
+    meta["wall_s"] = round(time.perf_counter() - start, 6)
     return graph_to_dict(tracker.graph, meta=meta, tracker=tracker,
                          trace=trace)
 

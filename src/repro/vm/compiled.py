@@ -562,20 +562,6 @@ def compiled_tier(program, variant: str):
     return tier
 
 
-def precompile(program, tracer: bool = False, sampling: bool = False):
-    """Eagerly build the tiers a run configuration will need.
-
-    Benchmarks call this so compilation cost lands outside the timed
-    region; normal runs compile lazily on first execution.
-    """
-    variants = []
-    if not tracer or sampling:
-        variants.append(VARIANT_PLAIN)
-    if tracer:
-        variants.append(VARIANT_TRACED)
-    return all(compiled_tier(program, v) is not None for v in variants)
-
-
 def _compile_program(program, variant: str):
     ns = _base_namespace()
     ns["_program"] = program

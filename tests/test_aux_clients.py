@@ -230,7 +230,7 @@ class TestReports:
             "C c = new C(); c.v = 1 + 2; Sys.printInt(c.v);",
             extra=extra)
         reports = analyze_cost_benefit(tracker.graph, vm.program,
-                                       heap=vm.heap)
+                                       alloc_counts=vm.heap.site_counts)
         text = format_cost_benefit_report(reports)
         assert "rank" in text
         assert "new C" in text

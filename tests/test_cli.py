@@ -174,6 +174,73 @@ def test_profile_self_profile_flag(demo_file, capsys):
     assert "untracked" in out
 
 
+def _alloc_counts(out):
+    """``{site: allocs}`` from a cost-benefit table on stdout."""
+    counts = {}
+    lines = out.split("== object cost-benefit")[1].splitlines()
+    for line in lines[3:]:
+        if not line.strip():
+            break
+        fields = line.split()
+        counts[f"{fields[1]} {fields[2]}"] = int(fields[-4])
+    return counts
+
+
+def test_sharded_alloc_counts_sum_the_shards(demo_file, tmp_path,
+                                             capsys):
+    """Shard metas carry the heap's per-site counts, and the merged
+    table sums them, also after a checkpoint's JSON round trip."""
+    assert main(["profile", demo_file, "--no-stdlib",
+                 "--report", "cost-benefit"]) == 0
+    single = _alloc_counts(capsys.readouterr().out)
+    assert single == {"new Entry[]": 1, "new Entry": 10}
+    ckpt = str(tmp_path / "ckpt.json")
+    for _ in range(2):   # the second run resumes both shards
+        assert main(["profile", demo_file, "--no-stdlib",
+                     "--jobs", "2", "--runs", "2", "--resume", ckpt,
+                     "--report", "cost-benefit"]) == 0
+        sharded = _alloc_counts(capsys.readouterr().out)
+        assert sharded == {site: 2 * n for site, n in single.items()}
+
+
+def test_sharded_salvage_prints_run_report(demo_file, capsys):
+    """Shards salvaged from a VM fault are reported on stdout; the run
+    still exits 0 (salvaged shards are not failures)."""
+    assert main(["profile", demo_file, "--no-stdlib",
+                 "--jobs", "2", "--runs", "2", "--max-steps", "50",
+                 "--report", "bloat"]) == 0
+    out = capsys.readouterr().out
+    assert "2 salvaged" in out
+    assert "shard 1 [run1]: salvaged" in out
+
+
+def test_sharded_telemetry_has_one_tracker_event(demo_file, tmp_path):
+    from repro.observability import read_jsonl
+    events_path = str(tmp_path / "events.jsonl")
+    assert main(["profile", demo_file, "--no-stdlib",
+                 "--jobs", "2", "--runs", "2", "--report", "bloat",
+                 "--telemetry", events_path]) == 0
+    tracker = [e for e in read_jsonl(events_path) if e["ev"] == "tracker"]
+    assert len(tracker) == 1
+    assert tracker[0]["nodes"] > 0
+
+
+def test_single_run_save_matches_sequential_oracle(demo_file, tmp_path,
+                                                   capsys):
+    from repro.profiler import (ProfileJob, canonical_form, load_profile,
+                                profile_jobs_sequential)
+    graph_path = str(tmp_path / "g.json")
+    assert main(["profile", demo_file, "--no-stdlib", "--report", "bloat",
+                 "--save-graph", graph_path]) == 0
+    assert "output: '10'" in capsys.readouterr().out
+    graph, meta, state = load_profile(graph_path)
+    oracle = profile_jobs_sequential(
+        [ProfileJob.from_file(demo_file, use_stdlib=False, label="run0")])
+    assert canonical_form(graph, state) == \
+        canonical_form(oracle.graph, oracle.state)
+    assert meta["instructions"] == oracle.instructions
+
+
 def test_report_command(demo_file, tmp_path, capsys):
     """profile --save-graph --self-profile then report renders the
     full Markdown bloat report, overhead section included."""

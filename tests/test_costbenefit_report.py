@@ -33,7 +33,8 @@ def chart_reports():
     from repro.vm import VM
     vm = VM(program, tracer=tracker)
     vm.run()
-    return analyze_cost_benefit(tracker.graph, program, heap=vm.heap)
+    return analyze_cost_benefit(tracker.graph, program,
+                                alloc_counts=vm.heap.site_counts)
 
 
 class TestRanking:

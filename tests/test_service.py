@@ -857,6 +857,32 @@ class TestClientCli:
             assert "push: 1 shard(s)" in capsys.readouterr().out
             assert harness.registry.tenant("one").shards == 1
 
+    def test_profile_push_single_run_serves_batch_report(self, tmp_path,
+                                                         capsys):
+        # The in-process run pushes through the same ShardPusher as a
+        # sharded one: its served report is the batch report of its
+        # save, byte for byte.
+        from repro.cli import main
+        source_path = tmp_path / "prog.mj"
+        source_path.write_text(SOURCE)
+        saved = tmp_path / "g.json"
+        served = tmp_path / "served.json"
+        batch = tmp_path / "batch.json"
+        with DaemonHarness(tmp_path) as harness:
+            assert main(["profile", str(source_path), "--no-stdlib",
+                         "--push", harness.addr, "--tenant", "one",
+                         "--report", "bloat",
+                         "--save-graph", str(saved)]) == 0
+            assert "push: 1 shard(s)" in capsys.readouterr().out
+            assert main(["client", "query", "report", str(source_path),
+                         "--no-stdlib", "--addr", harness.addr,
+                         "--tenant", "one", "--out", str(served)]) == 0
+        assert main(["report", str(saved), str(source_path),
+                     "--no-stdlib", "--format", "json",
+                     "--out", str(batch)]) == 0
+        capsys.readouterr()
+        assert served.read_bytes() == batch.read_bytes()
+
     def test_profile_push_daemon_down_degrades_gracefully(
             self, tmp_path, capsys):
         from repro.cli import main

@@ -202,7 +202,7 @@ class TestDerivedStats:
     def test_slot_collision_counts(self):
         program = _stress_program()
         tracker, _ = _profile(program, slots=8)
-        collisions = slot_collision_counts(tracker)
+        collisions = slot_collision_counts(tracker.graph, tracker.state())
         for slot, count in collisions.items():
             assert 0 <= slot < 8
             assert count >= 1
@@ -212,7 +212,7 @@ class TestDerivedStats:
         sink = MemorySink()
         hub = Telemetry(sink=sink)
         tracker, _ = _profile(program, hub=hub)
-        emit_tracker_stats(hub, tracker)
+        emit_tracker_stats(hub, tracker.graph, tracker.state())
         hub.close()
         events = [e for e in sink.events if e["ev"] == "tracker"]
         assert len(events) == 1
