@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..profiler.graph import DependenceGraph
-from .relative import hrac
+from .batch import engine_for
 
 
 @dataclass
@@ -68,6 +68,7 @@ def analyze_caches(graph: DependenceGraph, min_reads: int = 1):
     stores_by_key = graph.field_stores()
     alloc_nodes = graph.alloc_nodes()
     freq = graph.freq
+    hrac = engine_for(graph).hrac
 
     per_site = {}
     for field_key, store_nodes in stores_by_key.items():
@@ -86,12 +87,11 @@ def analyze_caches(graph: DependenceGraph, min_reads: int = 1):
         entry["writes"] += sum(freq[n] for n in store_nodes)
         entry["reads"] += sum(freq[n] for n in load_nodes)
         # The cached work: the per-hop cost of producing each stored
-        # value (what a cache hit avoids recomputing).  Subtract the
-        # store instruction's own frequency so pure plumbing isn't
-        # double counted as cached work.
+        # value (its Definition-5 HRAC, what a cache hit avoids
+        # recomputing).  Subtract the store instruction's own frequency
+        # so pure plumbing isn't double counted as cached work.
         for node in store_nodes:
-            entry["cached_total"] += max(hrac(graph, node)
-                                         - freq[node], 0)
+            entry["cached_total"] += max(hrac(node) - freq[node], 0)
             entry["cached_samples"] += 1
         alloc_node = alloc_nodes.get(alloc_key)
         if alloc_node is not None:

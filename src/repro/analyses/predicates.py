@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..profiler.graph import CONTEXTLESS, DependenceGraph
-from .relative import hrac
+from .batch import engine_for
 
 
 @dataclass
@@ -37,6 +37,7 @@ def constant_predicates(graph: DependenceGraph, branch_outcomes,
     condition cost is the summed HRAC of the predicate node's producers
     (the stack work spent deciding something that never changes).
     """
+    hrac = engine_for(graph).hrac
     results = []
     for iid, (taken, not_taken) in branch_outcomes.items():
         executions = taken + not_taken
@@ -47,7 +48,7 @@ def constant_predicates(graph: DependenceGraph, branch_outcomes,
         node = graph.find(iid, CONTEXTLESS)
         cost = 0.0
         if node is not None:
-            cost = sum(hrac(graph, p) for p in graph.preds[node])
+            cost = sum(hrac(p) for p in graph.preds[node])
         results.append(PredicateReport(
             iid=iid,
             line=program.instructions[iid].line,

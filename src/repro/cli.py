@@ -128,13 +128,10 @@ def _telemetry_scope(path, flight=None):
 
 def _load_program(path: str, use_stdlib: bool):
     from .observability import current
+    from .profiler import compile_program
     with current().span("compile", file=path):
-        source = open(path).read()
-        if use_stdlib:
-            from .stdlib import compile_with_stdlib
-            return compile_with_stdlib(source)
-        from .lang import compile_source
-        return compile_source(source)
+        with open(path) as handle:
+            return compile_program(handle.read(), use_stdlib)
 
 
 def _print_reports(program, profile, which: str, top: int):

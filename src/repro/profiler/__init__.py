@@ -16,8 +16,8 @@ from .graph import (CONTEXTLESS, ELM, EFFECT_ALLOC, EFFECT_LOAD,
                     F_HEAP_WRITE, F_NATIVE, F_PREDICATE, CSRGraph,
                     DependenceGraph)
 from .parallel import (AggregateProfile, ProfileJob, canonical_form,
-                       fold_graph, merge_graphs, normalize_sampling,
-                       profile_jobs_sequential)
+                       compile_program, fold_graph, merge_graphs,
+                       normalize_sampling, profile_jobs_sequential)
 from .sampling import (DEFAULT_SPEC, SampleCursor, SampleSchedule,
                        aggregate_factor, apply_sampling_scale,
                        parse_sample_spec)
@@ -45,6 +45,7 @@ __all__ = [
     "salvage_profile", "SalvageReport", "content_checksum",
     "ProfileJob", "AggregateProfile", "merge_graphs",
     "fold_graph", "profile_jobs_sequential", "canonical_form",
+    "compile_program",
     "normalize_sampling",
     "DEFAULT_SPEC", "SampleSchedule", "SampleCursor", "parse_sample_spec",
     "aggregate_factor", "apply_sampling_scale",

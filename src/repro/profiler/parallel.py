@@ -13,7 +13,8 @@ map-reduce profiling architecture:
 
 * **map** — :class:`~repro.profiler.supervisor.SupervisedProfiler`
   runs each :class:`ProfileJob` attempt in its own child process; the
-  worker compiles its program, runs VM + :class:`CostTracker`, and
+  worker builds its program (or, forked, inherits the parent's from
+  :func:`compile_program`), runs VM + :class:`CostTracker`, and
   returns a compact serialized profile (format v2, graph + tracker
   state);
 * **reduce** — the parent deserializes and folds the shards through
@@ -30,7 +31,9 @@ normal form.
 
 from __future__ import annotations
 
+import hashlib
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..vm.errors import VMError
@@ -67,7 +70,9 @@ class ProfileJob:
     Workers rebuild the program from the recipe (source text, file
     path, registered workload, or stress-generator parameters) so jobs
     stay cheap to ship across process boundaries — compiled programs
-    never need to be pickled.
+    never need to be pickled.  Source and file recipes go through
+    :func:`compile_program`, so a forked worker finds the program its
+    parent already built.
 
     ``exec_mode`` (``"interp"`` / ``"compiled"`` / ``None`` for the
     VM default) and ``sampling`` (a serialized
@@ -175,13 +180,14 @@ class ProfileJob:
         return meta
 
     def build(self):
-        """Compile this job's program (runs inside the worker)."""
+        """This job's program; source and file jobs come from the
+        process's :func:`compile_program` cache."""
         spec = self.spec
         if self.kind == "source":
-            return _compile(spec["source"], spec["use_stdlib"])
+            return compile_program(spec["source"], spec["use_stdlib"])
         if self.kind == "file":
             with open(spec["path"]) as handle:
-                return _compile(handle.read(), spec["use_stdlib"])
+                return compile_program(handle.read(), spec["use_stdlib"])
         if self.kind == "workload":
             from ..workloads import get_workload
             return get_workload(spec["name"]).build(spec["variant"],
@@ -192,12 +198,38 @@ class ProfileJob:
         raise ValueError(f"unknown job kind {self.kind!r}")
 
 
-def _compile(source: str, use_stdlib: bool):
+#: Programs :func:`compile_program` keeps per process.
+MAX_CACHED_PROGRAMS = 8
+
+_PROGRAMS = OrderedDict()   # (sha256 of source, use_stdlib) -> Program
+
+
+def compile_program(source: str, use_stdlib: bool):
+    """The compiled program of ``source``, built once per process.
+
+    The one program cache of the CLI, :meth:`ProfileJob.build` and the
+    daemon: an LRU of :data:`MAX_CACHED_PROGRAMS` entries keyed on the
+    sha256 of the source plus ``use_stdlib``.  A campaign therefore
+    runs the frontend once; forked workers inherit the parent's entry
+    (with whatever tier methods it has compiled) and skip it.  Every
+    caller uses it from its process's main thread, so it takes no lock.
+    """
+    key = (hashlib.sha256(source.encode("utf-8")).hexdigest(),
+           bool(use_stdlib))
+    program = _PROGRAMS.get(key)
+    if program is not None:
+        _PROGRAMS.move_to_end(key)
+        return program
     if use_stdlib:
         from ..stdlib import compile_with_stdlib
-        return compile_with_stdlib(source)
-    from ..lang import compile_source
-    return compile_source(source)
+        program = compile_with_stdlib(source)
+    else:
+        from ..lang import compile_source
+        program = compile_source(source)
+    if len(_PROGRAMS) >= MAX_CACHED_PROGRAMS:
+        _PROGRAMS.popitem(last=False)
+    _PROGRAMS[key] = program
+    return program
 
 
 # -- the reduce operator ----------------------------------------------------

@@ -38,9 +38,6 @@ from .protocol import (DEFAULT_MAX_FRAME, E_BAD_MESSAGE, E_NO_PROGRAM,
                        error_response, ok_response, read_frame)
 from .registry import TenantRegistry
 
-#: Compiled programs kept in the daemon-wide query cache.
-MAX_CACHED_PROGRAMS = 8
-
 
 class AnalysisDaemon:
     """The serving loop around a :class:`TenantRegistry`.
@@ -65,7 +62,6 @@ class AnalysisDaemon:
         self.started = time.monotonic()
         self.connections = 0
         self.frame_errors = 0
-        self._programs = {}
         self._loop = None
         self._shutdown = None
 
@@ -362,7 +358,8 @@ class AnalysisDaemon:
                 "records": list(tenant.traces)}
 
     def _program(self, kind: str, spec):
-        """Compile (or fetch from cache) the program a query needs."""
+        """The program a query needs, from the process's one
+        :func:`~repro.profiler.compile_program` cache."""
         if not isinstance(spec, dict) or "source" not in spec:
             raise ServiceError(
                 E_NO_PROGRAM,
@@ -373,23 +370,10 @@ class AnalysisDaemon:
         if not isinstance(source, str):
             raise ServiceError(E_NO_PROGRAM,
                                "program source must be a string")
-        import hashlib
-        key = (hashlib.sha256(source.encode("utf-8")).hexdigest(),
-               use_stdlib)
-        program = self._programs.get(key)
-        if program is None:
-            try:
-                if use_stdlib:
-                    from ..stdlib import compile_with_stdlib
-                    program = compile_with_stdlib(source)
-                else:
-                    from ..lang import compile_source
-                    program = compile_source(source)
-            except Exception as error:
-                raise ServiceError(
-                    E_QUERY_FAILED,
-                    f"program does not compile: {error}") from error
-            if len(self._programs) >= MAX_CACHED_PROGRAMS:
-                self._programs.pop(next(iter(self._programs)))
-            self._programs[key] = program
-        return program
+        from ..profiler import compile_program
+        try:
+            return compile_program(source, use_stdlib)
+        except Exception as error:
+            raise ServiceError(
+                E_QUERY_FAILED,
+                f"program does not compile: {error}") from error

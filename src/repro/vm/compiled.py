@@ -3,8 +3,10 @@
 The interpreter in :mod:`repro.vm.interpreter` pays a fixed toll per
 executed instruction: fetch through ``frame.pc``, an opcode ladder, and
 operand-name lookups on the instruction object.  This module removes
-that toll by compiling every finalized method into a specialized Python
-generator function, once per program:
+that toll by turning every finalized method into a specialized Python
+generator function.  Each method's source is emitted once per program
+and variant, and compiled on the method's first call (a method a run
+never calls is never compiled):
 
 * **operand accessors precompiled** -- in the untraced template every
   virtual register becomes a Python local; in the traced template the
@@ -45,13 +47,17 @@ context-annotated node identities.
 
 Methods whose shapes the templates do not cover (no return instruction,
 execution falling off the end of the body, unknown operators) mark the
-whole program unsupported and the VM transparently falls back to the
+whole program unsupported -- emission is eager, so this holds for methods
+a run never calls too -- and the VM transparently falls back to the
 interpreter tier.
 """
 
 from __future__ import annotations
 
+import time
+
 from ..ir import instructions as ins
+from ..observability.telemetry import current as _current_telemetry
 from .errors import (VMArithmeticError, VMBoundsError, VMError, VMNullError)
 from .frames import Frame
 from .interpreter import (RunControl, _as_str, _is_ref, _java_div, _java_rem,
@@ -543,41 +549,58 @@ class _MethodEmitter:
 def compiled_tier(program, variant: str):
     """The ``{MethodDef: generator function}`` tier for ``variant``.
 
-    Compiled lazily on first use and cached on the program; returns
-    None when the program contains a shape the templates do not
-    support (the VM then falls back to the interpreter).
+    Emitted on first use and cached on the program; returns None when
+    the program contains a shape the templates do not support (the VM
+    then falls back to the interpreter).  The tier is a
+    :class:`LazyTier`: each method is compiled on its first lookup.
     """
-    cache = getattr(program, "_compiled_tiers", None)
-    if cache is None:
-        cache = program._compiled_tiers = {}
-    if variant in cache:
-        tier = cache[variant]
-        return tier or None
-    try:
-        tier = _compile_program(program, variant)
-    except UnsupportedShape:
-        cache[variant] = False
-        return None
-    cache[variant] = tier
-    return tier
+    cache = program.__dict__.setdefault("_compiled_tiers", {})
+    if variant not in cache:
+        try:
+            cache[variant] = _emit_program(program, variant)
+        except UnsupportedShape:
+            cache[variant] = None
+    return cache[variant]
 
 
-def _compile_program(program, variant: str):
+class LazyTier(dict):
+    """``{MethodDef: generator function}`` holding only called methods.
+
+    Every method's source is emitted up front (so an unsupported shape
+    anywhere still poisons the whole tier), but compiling it is left to
+    the first lookup: :meth:`__missing__` compiles and ``exec``s that one
+    method into the shared namespace and stores the function, so every
+    later lookup is a plain dict hit.  Each compile records one
+    ``tier.compile`` observation in the current hub's metrics.
+    """
+
+    def __init__(self, ns, sources, filename: str):
+        super().__init__()
+        self._ns = ns
+        self._sources = sources    # MethodDef -> (fname, source)
+        self._filename = filename
+
+    def __missing__(self, method):
+        start = time.perf_counter()
+        fname, source = self._sources.pop(method)
+        exec(compile(source, self._filename, "exec"), self._ns)
+        fn = self[method] = self._ns[fname]
+        _current_telemetry().metrics.observe(
+            "tier.compile", time.perf_counter() - start)
+        return fn
+
+
+def _emit_program(program, variant: str) -> LazyTier:
     ns = _base_namespace()
     ns["_program"] = program
     binder = _Binder(ns)
-    fnames = {}
-    sources = []
+    sources = {}
     for cls in sorted(program.classes.values(), key=lambda c: c.name):
         for method in sorted(cls.methods.values(), key=lambda m: m.name):
-            fname = f"_fn{len(fnames)}"
-            fnames[method] = fname
+            fname = f"_fn{len(sources)}"
             emitter = _MethodEmitter(method, fname, variant, binder)
-            sources.append(emitter.source())
-    source = "\n".join(sources)
-    code = compile(source, f"<repro-compiled:{variant}>", "exec")
-    exec(code, ns)
-    return {method: ns[fname] for method, fname in fnames.items()}
+            sources[method] = (fname, emitter.source())
+    return LazyTier(ns, sources, f"<repro-compiled:{variant}>")
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ import pytest
 
 from conftest import run_main
 from repro.analyses import (INFINITE, abstract_cost,
-                            all_object_cost_benefits, hrab, hrac,
-                            object_cost_benefit)
+                            all_object_cost_benefits, analyze_caches,
+                            cachecost, constant_predicates, hrab, hrac,
+                            object_cost_benefit, predicates)
 from repro.analyses.batch import (BatchSliceEngine, MethodLocalCostIndex,
                                   engine_for)
 from repro.analyses.methodcost import _iid_to_method, _method_local_cost
@@ -24,7 +25,8 @@ from repro.profiler import (CostTracker, F_HEAP_READ, F_HEAP_WRITE,
                             F_NATIVE, F_PREDICATE)
 from repro.profiler.graph import DependenceGraph
 from repro.vm import VM
-from repro.workloads import all_workloads
+from repro.workloads import all_workloads, get_workload
+from repro.workloads.stress import build_stress
 
 
 def _profiled(spec, slots):
@@ -149,6 +151,38 @@ def test_method_local_costs_match_reference(name):
                 continue
             assert index.cost(v, method) == \
                 _method_local_cost(graph, v, method, mapping), (v, method)
+
+
+class _ReferenceEngine:
+    """``engine_for`` stand-in whose ``hrac`` is the per-node reference
+    BFS, so a report client can be rerun against the reference."""
+
+    def __init__(self, graph):
+        self.graph = graph
+
+    def hrac(self, node):
+        return hrac(self.graph, node)
+
+
+@pytest.mark.parametrize(
+    "name", [spec.name for spec in all_workloads()] + ["stress"])
+def test_report_clients_match_per_node_hrac(name, monkeypatch):
+    """``analyze_caches`` and ``constant_predicates`` read their HRACs
+    from the batched engine; both equal a run over ``relative.hrac``."""
+    if name == "stress":
+        program = build_stress(stages=24, chain=8, rounds=2)
+    else:
+        spec = get_workload(name)
+        program = spec.build("unopt", spec.small_scale)
+    tracker = CostTracker(slots=16)
+    VM(program, tracer=tracker).run()
+    graph, outcomes = tracker.graph, tracker.branch_outcomes
+    caches = analyze_caches(graph)
+    constant = constant_predicates(graph, outcomes, program)
+    monkeypatch.setattr(cachecost, "engine_for", _ReferenceEngine)
+    monkeypatch.setattr(predicates, "engine_for", _ReferenceEngine)
+    assert analyze_caches(graph) == caches
+    assert constant_predicates(graph, outcomes, program) == constant
 
 
 def test_sweep_covers_stop_flag_and_infinite_paths():

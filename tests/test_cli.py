@@ -225,6 +225,28 @@ def test_sharded_telemetry_has_one_tracker_event(demo_file, tmp_path):
     assert tracker[0]["nodes"] > 0
 
 
+def test_sharded_telemetry_relays_lazy_tier_compiles(tmp_path):
+    """Each worker compiles only the methods its run calls, on first
+    call, and relays one ``tier.compile`` observation per method."""
+    import os
+
+    from repro.observability import read_jsonl
+    path = tmp_path / "probe.mj"
+    # A source of its own: no earlier in-process run has compiled its
+    # tier, which forked workers would otherwise inherit.
+    path.write_text(DEMO + "// tier.compile probe\n")
+    events_path = str(tmp_path / "events.jsonl")
+    assert main(["profile", str(path), "--jobs", "2", "--runs", "2",
+                 "--report", "bloat", "--telemetry", events_path]) == 0
+    compiles = [e["timers"]["tier.compile"]
+                for e in read_jsonl(events_path)
+                if e["ev"] == "timers" and e["pid"] != os.getpid()]
+    assert len(compiles) == 2
+    for timer in compiles:
+        assert timer["n"] == 2          # Main.main and the Entry ctor
+        assert timer["total"] > 0
+
+
 def test_single_run_save_matches_sequential_oracle(demo_file, tmp_path,
                                                    capsys):
     from repro.profiler import (ProfileJob, canonical_form, load_profile,

@@ -19,12 +19,14 @@ Two contracts pin the PR-7 performance work:
 
 import pytest
 
+from repro.observability import MemorySink, Telemetry, set_current
 from repro.profiler import (CostTracker, ProfileJob, SampleSchedule,
                             SupervisedProfiler, aggregate_factor,
                             apply_sampling_scale, canonical_form,
                             jobs_fingerprint, parse_sample_spec,
                             profile_jobs_sequential)
 from repro.vm import EXEC_COMPILED, EXEC_INTERP, VM
+from repro.vm.compiled import VARIANT_PLAIN, VARIANT_TRACED, compiled_tier
 from repro.vm.interpreter import resolve_exec_mode
 from repro.workloads import all_workloads, get_workload
 from repro.workloads.stress import build_stress
@@ -86,10 +88,10 @@ class TestTierEquivalence:
             resolve_exec_mode("jit")
 
     def test_unsupported_shape_falls_back_to_interp(self):
-        # The compiled tier compiles every method up front; a method
-        # the template cannot express (empty body) poisons the whole
-        # tier even though the interpreter, which only executes what
-        # is reached, runs the program fine.
+        # The compiled tier emits every method up front; a method the
+        # template cannot express (empty body) poisons the whole tier
+        # even though the interpreter, which only executes what is
+        # reached, runs the program fine.
         from repro.lang import compile_source
         source = """
 class Dead { int unused() { return 1; } }
@@ -102,6 +104,62 @@ class Main { static void main() { Sys.printInt(7); } }
         assert broken.exec_tier == EXEC_INTERP
         assert broken.stdout() == reference.stdout() == "7"
         assert broken.instr_count == reference.instr_count
+        # Both variants stay poisoned for every later VM on the program.
+        for tracer in (CostTracker(slots=16), None):
+            assert _run(program, EXEC_COMPILED,
+                        tracer=tracer).exec_tier == EXEC_INTERP
+        assert compiled_tier(program, VARIANT_PLAIN) is None
+        assert compiled_tier(program, VARIANT_TRACED) is None
+
+
+class _CallRecorder(CostTracker):
+    """A tracker that also records every method its run enters."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.called = set()
+
+    def on_entry_frame(self, frame):
+        self.called.add(frame.method)
+        super().on_entry_frame(frame)
+
+    def trace_call(self, instr, caller_frame, callee_frame, recv_obj):
+        self.called.add(callee_frame.method)
+        super().trace_call(instr, caller_frame, callee_frame, recv_obj)
+
+
+class TestLazyTier:
+    """Every method is emitted up front but compiled on its first call."""
+
+    def _program(self):
+        spec = get_workload("derby_like")
+        return spec.build("unopt", spec.small_scale)
+
+    def test_tier_holds_only_called_methods(self):
+        program = self._program()
+        recorder = _CallRecorder(slots=16)
+        assert _run(program, EXEC_COMPILED,
+                    tracer=recorder).exec_tier == EXEC_COMPILED
+        tier = compiled_tier(program, VARIANT_TRACED)
+        total = sum(len(cls.methods) for cls in program.classes.values())
+        assert set(tier) == recorder.called
+        assert 0 < len(tier) < total
+
+    def test_second_vm_compiles_nothing_new(self):
+        program = self._program()
+        hub = Telemetry(sink=MemorySink())
+        previous = set_current(hub)
+        try:
+            _run(program, EXEC_COMPILED, tracer=CostTracker(slots=16))
+            first = hub.metrics.histograms["tier.compile"].count
+            compiled = dict(compiled_tier(program, VARIANT_TRACED))
+            _run(program, EXEC_COMPILED, tracer=CostTracker(slots=16))
+        finally:
+            set_current(previous)
+        # One tier.compile observation per compiled method, none later.
+        assert first == len(compiled)
+        assert hub.metrics.histograms["tier.compile"].count == first
+        assert compiled_tier(program, VARIANT_TRACED) == compiled
 
 
 class TestSampling:

@@ -17,10 +17,11 @@ import pytest
 from repro.profiler import (CONTEXTLESS, AggregateProfile, CostTracker,
                             DependenceGraph, ProfileInputError,
                             ProfileJob, SupervisedProfiler, TrackerState,
-                            canonical_form, graph_from_dict,
-                            graph_to_dict, merge_graphs,
+                            canonical_form, compile_program,
+                            graph_from_dict, graph_to_dict, merge_graphs,
                             profile_jobs_sequential,
                             tracker_state_from_dict)
+from repro.profiler.parallel import MAX_CACHED_PROGRAMS
 from repro.vm import VM
 from repro.workloads import get_workload
 
@@ -279,3 +280,40 @@ class TestSerializedShards:
         oracle = profile_jobs_sequential(jobs, slots=16)
         assert canonical_form(merged, state) == \
             canonical_form(oracle.graph, oracle.state)
+
+
+class TestProgramCache:
+    """``compile_program``: one LRU program cache per process."""
+
+    SOURCE = ("class Main { static void main() { Sys.printInt(41); } }\n"
+              "// program cache probe\n")
+
+    def test_loaders_share_one_program(self, tmp_path):
+        from repro.cli import _load_program
+        from repro.service import AnalysisDaemon, TenantRegistry
+        path = tmp_path / "probe.mj"
+        path.write_text(self.SOURCE)
+        daemon = AnalysisDaemon(TenantRegistry())
+        for use_stdlib in (True, False):
+            program = _load_program(str(path), use_stdlib)
+            assert ProfileJob.from_file(
+                str(path), use_stdlib=use_stdlib).build() is program
+            assert ProfileJob.from_source(
+                self.SOURCE, use_stdlib=use_stdlib).build() is program
+            assert daemon._program("report", {
+                "source": self.SOURCE,
+                "use_stdlib": use_stdlib}) is program
+        assert compile_program(self.SOURCE, True) is not \
+            compile_program(self.SOURCE, False)
+
+    def test_eviction_is_least_recently_used(self):
+        sources = [self.SOURCE.replace("41", str(i))
+                   for i in range(MAX_CACHED_PROGRAMS + 1)]
+        first = [compile_program(source, False)
+                 for source in sources[:MAX_CACHED_PROGRAMS]]
+        # A hit on the oldest entry makes it the most recently used, so
+        # the next insert evicts the second-oldest instead.
+        assert compile_program(sources[0], False) is first[0]
+        compile_program(sources[-1], False)
+        assert compile_program(sources[0], False) is first[0]
+        assert compile_program(sources[1], False) is not first[1]
