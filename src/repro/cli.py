@@ -73,8 +73,8 @@ def _flight_path(args):
     configured = getattr(args, "flight_record", None)
     if configured:
         return configured
-    from .observability.flightrecorder import DEFAULT_DUMP_PATH
-    return DEFAULT_DUMP_PATH
+    from .observability.flightrecorder import default_dump_path
+    return default_dump_path()
 
 
 @contextmanager
@@ -112,16 +112,18 @@ def _telemetry_scope(path, flight=None):
         # before the hub is torn down.  Bad *input* (unparseable
         # files, compile errors) is not a fault worth a dump.
         if recorder is not None and not _bad_input_error(error):
-            dumped = dump_current(f"error:{type(error).__name__}")
-            if dumped:
-                print(f"flight recorder dumped to {dumped}",
-                      file=sys.stderr)
+            dump_current(f"error:{type(error).__name__}")
         raise
     finally:
         set_current(previous)
         hub.close()
         if recorder is not None:
             install(previous_recorder)
+            # One line however many dumps the command made (a fault,
+            # a retried shard, SIGUSR1, the daemon's shutdown).
+            if recorder.dumps:
+                print(f"flight recorder dumped to {recorder.path}",
+                      file=sys.stderr)
         if path:
             print(f"telemetry written to {path}", file=sys.stderr)
 
@@ -596,9 +598,7 @@ def _cmd_serve(args):
           f"{status['evictions']} eviction(s); "
           f"tenant state spilled to {spill_dir}", file=sys.stderr)
     from .observability import dump_current
-    dumped = dump_current("shutdown")
-    if dumped:
-        print(f"flight recorder dumped to {dumped}", file=sys.stderr)
+    dump_current("shutdown")
     return EXIT_OK
 
 
@@ -768,7 +768,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_flight_record(p):
         p.add_argument("--flight-record", metavar="PATH",
                        help="flight-recorder dump file (default "
-                            "repro-flight.jsonl); the in-memory ring "
+                            "repro-flight-PID.jsonl in the temp "
+                            "directory); the in-memory ring "
                             "of recent telemetry events is written "
                             "there only on a fault, SIGUSR1, or "
                             "daemon shutdown")

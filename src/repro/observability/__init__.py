@@ -26,7 +26,8 @@ Six pieces (see ``docs/OBSERVABILITY.md``):
   report behind ``python -m repro report``.
 """
 
-from .bloatreport import bloat_report_data, render_bloat_report
+from .bloatreport import (BloatReport, bloat_report_data,
+                          render_bloat_report)
 from .flightrecorder import (DEFAULT_CAPACITY, FlightRecorder,
                              RecorderSink, arm_signal, current_recorder,
                              dump_current, install)
@@ -59,5 +60,5 @@ __all__ = [
     "current_recorder", "dump_current", "arm_signal",
     "OverheadReport", "measure_overhead", "overhead_from_dict",
     "time_untracked",
-    "render_bloat_report", "bloat_report_data",
+    "BloatReport", "render_bloat_report", "bloat_report_data",
 ]

@@ -98,17 +98,7 @@ def measure_overhead(program, slots: int = 16, phases=None,
     from ..vm import VM
     hub = telemetry if telemetry is not None else current()
 
-    untracked_wall = None
-    instructions = 0
-    for _ in range(max(repeats, 1)):
-        vm = VM(program, max_steps=max_steps)
-        start = time.perf_counter()
-        vm.run()
-        wall = time.perf_counter() - start
-        if untracked_wall is None or wall < untracked_wall:
-            untracked_wall = wall
-        instructions = vm.instr_count
-
+    untracked_wall = time_untracked(program, max_steps, repeats)
     tracked_wall = None
     graph = None
     for _ in range(max(repeats, 1)):
@@ -121,9 +111,10 @@ def measure_overhead(program, slots: int = 16, phases=None,
             tracked_wall = wall
         graph = tracker.graph
 
+    # The tracked run executes the same instructions as the bare one.
     report = OverheadReport(untracked_wall=untracked_wall,
                             tracked_wall=tracked_wall,
-                            instructions=instructions,
+                            instructions=vm.instr_count,
                             nodes=graph.num_nodes,
                             edges=graph.num_edges,
                             repeats=max(repeats, 1))

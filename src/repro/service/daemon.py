@@ -16,10 +16,11 @@ anything touches the registry, so partial pushes cannot corrupt
 tenant state.
 
 Query results are served from the live merged graph through the same
-code paths batch mode uses (:func:`bloat_report_data`, the batched
-slicing engine) — the engine cache on a tenant's graph is invalidated
-by the folds themselves (frequency/edge counts change), so a query
-after new pushes transparently re-batches.  Compiled programs for
+code paths batch mode uses (the sections of
+:class:`~repro.observability.BloatReport`, the batched slicing
+engine) — the engine cache on a tenant's graph is invalidated by the
+folds themselves (frequency/edge counts change), so a query after new
+pushes transparently re-batches.  Compiled programs for
 ``report``/``rac``/``rab`` queries are cached daemon-wide by source
 hash.
 """
@@ -318,40 +319,31 @@ class AnalysisDaemon:
         return ok_response(tenant=tenant.name, kind=kind, result=result)
 
     def _answer(self, tenant, kind: str, top: int, program_spec):
-        from ..observability.bloatreport import (_field_data, _site_names,
-                                                 bloat_report_data)
-        if kind == "report":
-            program = self._program(kind, program_spec)
-            return bloat_report_data(tenant.graph, tenant.report_meta(),
-                                     tenant.state, program, top=top)
-        if kind in ("rac", "rab"):
-            from ..analyses.batch import engine_for
-            program = self._program(kind, program_spec)
-            engine = engine_for(tenant.graph)
-            descriptions = _site_names(program)
-            if kind == "rac":
-                return _field_data(engine.field_racs(), descriptions,
-                                   top)
-            return _field_data(engine.field_rabs(), descriptions, top,
-                               reverse=False)
-        if kind == "bloat":
-            from ..analyses import measure_bloat
-            if not tenant.instructions:
-                raise ServiceError(
-                    E_QUERY_FAILED,
-                    f"tenant {tenant.name!r} has no instruction "
-                    f"counts; bloat metrics need them")
-            metrics = measure_bloat(tenant.graph, tenant.instructions)
-            return {"instructions": tenant.instructions,
-                    "ipd": round(metrics.ipd, 6),
-                    "ipp": round(metrics.ipp, 6),
-                    "nld": round(metrics.nld, 6)}
+        if kind in ("report", "rac", "rab", "bloat"):
+            # One report model: each answer is the batch report's own
+            # section, computed alone (a `rac` query runs no
+            # cost-benefit analysis).
+            from ..observability import BloatReport
+            if kind == "bloat":
+                if not tenant.instructions:
+                    raise ServiceError(
+                        E_QUERY_FAILED,
+                        f"tenant {tenant.name!r} has no instruction "
+                        f"counts; bloat metrics need them")
+                report = BloatReport(tenant.graph, tenant.report_meta(),
+                                     tenant.state, None)
+                return {"instructions": tenant.instructions,
+                        **report.section_data("dead_values")}
+            report = BloatReport(tenant.graph, tenant.report_meta(),
+                                 tenant.state,
+                                 self._program(kind, program_spec), top)
+            if kind == "report":
+                return report.data()
+            return report.section_data("hrac" if kind == "rac" else "hrab")
         if kind == "summary":
-            graph = tenant.graph
             summary = tenant.describe()
-            summary["memory_bytes"] = graph.memory_bytes()
             summary["conflict_ratio"] = round(
-                tenant.state.conflict_ratio(graph), 6)
+                tenant.state.conflict_ratio(tenant.graph), 6)
             return summary
         # kind == "trace"
         return {"tenant": tenant.name, "shards": tenant.shards,

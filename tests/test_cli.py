@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import tempfile
+
 import pytest
 
 from repro.cli import (EXIT_BAD_INPUT, EXIT_DEGRADED, EXIT_RUNTIME,
@@ -26,9 +28,11 @@ class Main {
 
 @pytest.fixture(autouse=True)
 def _isolated_cwd(tmp_path, monkeypatch):
-    # Relative default paths (the flight recorder's dump file) must
-    # land in the test's tmp dir, not in the checkout.
+    # Relative paths and the temp directory (the flight recorder's
+    # default dump file) both resolve into the test's tmp dir.
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)
 
 
 @pytest.fixture
@@ -463,6 +467,30 @@ class TestResilienceFlags:
                      "--max-retries", "0"]) == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert "strict run aborted" in err
+
+    def test_retried_crash_dumps_into_temp_dir(self, demo_file, tmp_path,
+                                               fault_env, monkeypatch,
+                                               capsys):
+        """A retried shard crash dumps the flight recorder under the
+        temp directory, never into the working directory, and stderr
+        says where the replayable dump is."""
+        from repro.observability import load_trace
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        fault_env('{"faults": [{"shard": 0, "attempt": 0, '
+                  '"kind": "crash"}]}')
+        assert main(["profile", demo_file, "--no-stdlib",
+                     "--jobs", "2", "--runs", "2"]) == 0
+        err = capsys.readouterr().err
+        assert list(cwd.iterdir()) == []
+        dumps = list(tmp_path.glob("repro-flight-*.jsonl"))
+        assert len(dumps) == 1
+        assert err.count("flight recorder dumped to") == 1
+        assert f"flight recorder dumped to {dumps[0]}" in err
+        trace = load_trace(str(dumps[0]))
+        assert 0 in {span.meta.get("shard")
+                     for span in trace.shard_attempts()}
 
     def test_resume_checkpoint_roundtrip(self, demo_file, tmp_path,
                                          capsys):

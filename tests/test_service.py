@@ -431,6 +431,9 @@ class TestDaemon:
                                       top=10)["result"]
                 racs = client.query("app", "rac",
                                     program=program_spec)["result"]
+                rabs = client.query("app", "rab",
+                                    program=program_spec)["result"]
+                bloat = client.query("app", "bloat")["result"]
         graph, state = offline_merge(shards)
         meta = {"instructions": sum(s["meta"]["instructions"]
                                     for s in shards),
@@ -443,6 +446,36 @@ class TestDaemon:
         assert json.dumps(served, indent=2, sort_keys=True) == \
             json.dumps(batch, indent=2, sort_keys=True)
         assert racs                     # field table is non-empty
+        # One report model: each section query answers the batch
+        # report's own section.
+        assert racs == batch["hrac"]
+        assert rabs == batch["hrab"]
+        assert bloat == {"instructions": meta["instructions"],
+                         **batch["dead_values"]}
+
+    def test_section_queries_compute_only_their_section(self,
+                                                        monkeypatch):
+        """`rac`, `rab` and `bloat` answer from their own report
+        section; none of them runs the cost-benefit ranking."""
+        import repro.analyses
+
+        def no_ranking(*_args, **_kwargs):
+            raise AssertionError("cost-benefit ranking ran")
+
+        monkeypatch.setattr(repro.analyses, "analyze_cost_benefit",
+                            no_ranking)
+        daemon = AnalysisDaemon(TenantRegistry())
+        daemon.registry.ingest("app", make_shard("a"))
+        program_spec = {"source": SOURCE, "use_stdlib": False}
+        for kind in ("rac", "rab", "bloat"):
+            response = daemon._handle({"type": "query", "tenant": "app",
+                                       "kind": kind,
+                                       "program": program_spec})
+            assert response["type"] == "ok", response
+        response = daemon._handle({"type": "query", "tenant": "app",
+                                   "kind": "report",
+                                   "program": program_spec})
+        assert "cost-benefit ranking ran" in response["error"]
 
     def test_query_error_paths(self, tmp_path):
         with DaemonHarness(tmp_path) as harness:

@@ -18,16 +18,16 @@ import pytest
 from repro.lang import compile_source
 from repro.observability import (NULL, SCHEMA_VERSION, JsonlSink,
                                  MemorySink, NullMetrics, NullTelemetry,
-                                 Telemetry, TraceContext, child_hub,
-                                 current,
+                                 Telemetry, TraceContext,
+                                 bloat_report_data, child_hub, current,
                                  emit_tracker_stats, measure_overhead,
                                  opcode_class_counts, read_jsonl,
-                                 set_current, slot_collision_counts,
-                                 use)
+                                 render_bloat_report, set_current,
+                                 slot_collision_counts, use)
 from repro.profiler import CostTracker
 from repro.profiler.parallel import canonical_form
 from repro.vm import VM
-from repro.workloads import get_workload
+from repro.workloads import all_workloads, get_workload
 from repro.workloads.stress import stress_source
 
 WORKLOADS = ("bloat_like", "chart_like", "luindex_like")
@@ -454,6 +454,46 @@ class TestOverhead:
         measure_overhead(program, slots=8, telemetry=hub)
         hub.close()
         assert any(e["ev"] == "overhead" for e in sink.events)
+
+
+# -- bloat report views ------------------------------------------------------
+
+
+def _md_rows(text, title):
+    """The body rows of the Markdown table under ``## title``, as
+    lists of cells."""
+    section = text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ")]
+    return [row.strip("| ").split(" | ") for row in rows[1:]]
+
+
+@pytest.mark.parametrize(
+    "name", [spec.name for spec in all_workloads()] + ["stress"])
+def test_markdown_and_json_views_list_rows_in_one_order(name):
+    """Both report views render one set of sections: the Markdown
+    tables list the JSON sections' rows, in the same order."""
+    if name == "stress":
+        program = _stress_program(stages=24, chain=8, rounds=2)
+    else:
+        spec = get_workload(name)
+        program = spec.build("unopt", spec.small_scale)
+    tracker, vm = _profile(program, slots=16)
+    meta = {"instructions": vm.instr_count}
+    args = (tracker.graph, meta, tracker.state(), program)
+    data = bloat_report_data(*args, top=50)
+    text = render_bloat_report(*args, top=50)
+    assert data["cost_benefit"] and data["hrac"] and data["hrab"]
+    assert [(cells[1], cells[2]) for cells in
+            _md_rows(text, "Top cost-benefit offenders")] == \
+        [(f"`{row['site']}`", f"{row['method']} (line {row['line']})")
+         for row in data["cost_benefit"]]
+    for title, key in (("Costliest fields (HRAC, Definition 5)", "hrac"),
+                       ("Least-beneficial fields (HRAB, Definition 6)",
+                        "hrab")):
+        assert [(cells[0], cells[1], cells[3] == "inf") for cells in
+                _md_rows(text, title)] == \
+            [(f"`{row['field']}`", f"{row['method']} (line {row['line']})",
+              row["value"] == "inf") for row in data[key]]
 
 
 # -- disabled-mode bench guard ----------------------------------------------
