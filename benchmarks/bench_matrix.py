@@ -27,9 +27,11 @@ accountable for:
   ``tests/test_service.py``, not timed here.)
 
 All timing on this host is noisy (single core, 30%+ run-to-run
-spread), so every ratio is computed from *interleaved best-of-N*
-measurements: each repeat times every configuration back to back,
-and the best wall time per configuration wins.  The recorded gates
+spread), so every VM ratio is computed from *interleaved best-of-N*
+measurements through :func:`repro.observability.best_of_warm`: one
+untimed warm-up run per configuration, then each repeat times every
+configuration back to back, and the best wall time per configuration
+wins.  The recorded gates
 are ratios, not absolute ops/sec, so they transfer across hosts;
 ``tools/check_bench_regression.py`` consumes them.
 
@@ -49,6 +51,7 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(_ROOT, "src"))
 
 from repro.analyses.deadvalues import measure_bloat        # noqa: E402
+from repro.observability import best_of_warm              # noqa: E402
 from repro.profiler import (CostTracker, apply_sampling_scale,  # noqa: E402
                             canonical_form, parse_sample_spec)
 from repro.vm import EXEC_COMPILED, EXEC_INTERP, VM        # noqa: E402
@@ -78,48 +81,22 @@ METRICS_QUICK = {"pushes": 60, "queries": 10}
 METRICS_THRESHOLD = 0.05
 
 
-def _interleaved(configs, repeats=REPEATS):
-    """Best-of-N wall times, interleaving every config inside one rep.
-
-    ``configs`` maps name -> zero-arg callable.  Interleaving means a
-    slow patch of the host (GC, frequency scaling, a neighbour VM)
-    degrades all configurations of one repeat together instead of
-    biasing whichever config it happened to land on; best-of then
-    discards the degraded repeats.  Each callable runs once untimed
-    first so tier compilation and allocator warmup stay out of the
-    numbers.
-    """
-    values = {name: fn() for name, fn in configs.items()}
-    best = {name: float("inf") for name in configs}
-    for _ in range(repeats):
-        for name, fn in configs.items():
-            start = time.perf_counter()
-            values[name] = fn()
-            elapsed = time.perf_counter() - start
-            best[name] = min(best[name], elapsed)
-    return best, values
-
-
-def _run(program, **kwargs):
-    vm = VM(program, **kwargs)
-    vm.run()
-    return vm
-
-
 def exec_tier_matrix(stress):
     program = build_stress(**stress)
 
     configs = {
-        "interp_untraced": lambda: _run(program, exec_mode=EXEC_INTERP),
-        "compiled_untraced": lambda: _run(program,
-                                          exec_mode=EXEC_COMPILED),
-        "interp_tracked_s16": lambda: _run(
-            program, exec_mode=EXEC_INTERP, tracer=CostTracker(slots=16)),
-        "compiled_tracked_s16": lambda: _run(
+        "interp_untraced": lambda: VM(program,
+                                      exec_mode=EXEC_INTERP).run(),
+        "compiled_untraced": lambda: VM(program,
+                                        exec_mode=EXEC_COMPILED).run(),
+        "interp_tracked_s16": lambda: VM(
+            program, exec_mode=EXEC_INTERP,
+            tracer=CostTracker(slots=16)).run(),
+        "compiled_tracked_s16": lambda: VM(
             program, exec_mode=EXEC_COMPILED,
-            tracer=CostTracker(slots=16)),
+            tracer=CostTracker(slots=16)).run(),
     }
-    best, vms = _interleaved(configs)
+    best, vms = best_of_warm(configs, repeats=REPEATS)
     if vms["compiled_untraced"].exec_tier != EXEC_COMPILED:
         raise AssertionError("compiled tier fell back to the interpreter")
     exact_interp = canonical_form(vms["interp_tracked_s16"].tracer.graph)
@@ -152,26 +129,20 @@ def sampled_gate(stress):
     program = build_stress(**stress)
     schedule = parse_sample_spec("on")
 
-    state = {}
-
-    def sampled():
-        vm = _run(program, exec_mode=EXEC_COMPILED,
-                  tracer=CostTracker(slots=16), sampling=schedule)
-        state["stats"] = vm.sampling_stats()
-        return vm
-
     configs = {
-        "untraced": lambda: _run(program, exec_mode=EXEC_COMPILED),
-        "tracked_s16_sampled": sampled,
+        "untraced": lambda: VM(program, exec_mode=EXEC_COMPILED).run(),
+        "tracked_s16_sampled": lambda: VM(
+            program, exec_mode=EXEC_COMPILED,
+            tracer=CostTracker(slots=16), sampling=schedule).run(),
     }
     # The gate ratio needs extra repeats: both sides run near the
     # host's memory-bandwidth noise floor, and CPython keeps
     # specializing the generated closures for a few runs.
-    best, vms = _interleaved(configs, repeats=5)
+    best, vms = best_of_warm(configs, repeats=5)
     instrs = vms["untraced"].instr_count
     untraced_ops = instrs / best["untraced"]
     sampled_ops = instrs / best["tracked_s16_sampled"]
-    stats = state["stats"]
+    stats = vms["tracked_s16_sampled"].sampling_stats()
     return {
         "workload": "stress",
         "scale": dict(stress),
@@ -192,10 +163,10 @@ def estimation_accuracy(stress, spec):
     program = build_stress(**stress)
     schedule = parse_sample_spec(spec)
 
-    exact_vm = _run(program, exec_mode=EXEC_COMPILED,
-                    tracer=CostTracker(slots=16))
-    sampled_vm = _run(program, exec_mode=EXEC_COMPILED,
-                      tracer=CostTracker(slots=16), sampling=schedule)
+    exact_vm = VM(program, exec_mode=EXEC_COMPILED,
+                  tracer=CostTracker(slots=16)).run()
+    sampled_vm = VM(program, exec_mode=EXEC_COMPILED,
+                    tracer=CostTracker(slots=16), sampling=schedule).run()
     stats = sampled_vm.sampling_stats()
 
     exact = exact_vm.tracer.graph
@@ -258,7 +229,7 @@ def metrics_overhead(pushes=METRICS_PUSHES, queries=METRICS_QUERIES,
 
     program = build_stress(stages=8, chain=4, rounds=2)
     tracker = CostTracker(slots=16)
-    vm = _run(program, exec_mode=EXEC_COMPILED, tracer=tracker)
+    vm = VM(program, exec_mode=EXEC_COMPILED, tracer=tracker).run()
     shard = graph_to_dict(tracker.graph,
                           meta={"label": "bench",
                                 "instructions": vm.instr_count,

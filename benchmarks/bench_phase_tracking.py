@@ -17,11 +17,10 @@ bench measures whole-program vs steady-only tracking and asserts:
   findings.
 """
 
-import time
-
 from conftest import emit
 
 from repro.analyses import analyze_cost_benefit
+from repro.observability import best_of_warm
 from repro.profiler import CostTracker
 from repro.vm import VM
 from repro.workloads import get_workload
@@ -31,33 +30,27 @@ STARTUP_HEAVY = {"TXNS": 40, "WARMUP": 30000, "BLOCK": 10,
                  "SETTLE": 120}
 
 
-def _timed(program, tracker=None):
-    vm = VM(program, tracer=tracker)
-    start = time.perf_counter()
-    vm.run()
-    return vm, time.perf_counter() - start
-
-
 def _experiment():
     spec = get_workload("trade_like")
     program = spec.build("unopt", STARTUP_HEAVY)
 
-    plain_vm, plain_s = _timed(program)
-    full_tracker = CostTracker(slots=16)
-    full_vm, full_s = _timed(program, full_tracker)
-    steady_tracker = CostTracker(slots=16, phases={"steady"})
-    steady_vm, steady_s = _timed(program, steady_tracker)
+    walls, vms = best_of_warm({
+        "plain": lambda: VM(program).run(),
+        "full": lambda: VM(program, tracer=CostTracker(slots=16)).run(),
+        "steady": lambda: VM(program, tracer=CostTracker(
+            slots=16, phases={"steady"})).run()})
+    plain_vm, full_vm, steady_vm = vms["plain"], vms["full"], vms["steady"]
 
     assert plain_vm.stdout() == full_vm.stdout() == steady_vm.stdout()
     return {
         "program": program,
-        "plain_s": plain_s,
-        "full_s": full_s,
-        "steady_s": steady_s,
+        "plain_s": walls["plain"],
+        "full_s": walls["full"],
+        "steady_s": walls["steady"],
         "steady_vm": steady_vm,
-        "full_tracked": full_tracker.graph.total_frequency(),
-        "steady_tracked": steady_tracker.graph.total_frequency(),
-        "steady_tracker": steady_tracker,
+        "full_tracked": full_vm.tracer.graph.total_frequency(),
+        "steady_tracked": steady_vm.tracer.graph.total_frequency(),
+        "steady_tracker": steady_vm.tracer,
         "instructions": plain_vm.instr_count,
         "phase_counts": dict(plain_vm.phase_counts),
     }

@@ -128,6 +128,19 @@ def _telemetry_scope(path, flight=None):
             print(f"telemetry written to {path}", file=sys.stderr)
 
 
+def _top_rows(text: str) -> int:
+    """``--top`` values: a row count of at least 1 (the daemon's
+    query check, applied at the command line)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"top must be a positive integer, got {text!r}")
+    return value
+
+
 def _load_program(path: str, use_stdlib: bool):
     from .observability import current
     from .profiler import compile_program
@@ -152,6 +165,8 @@ def _print_reports_body(program, profile, which, top):
                            method_costs, return_costs,
                            write_read_imbalances)
 
+    # A v1 profile carries no tracker state: the state-reading
+    # sections (returns, predicates) are skipped.
     graph, state = profile.graph, profile.state
     if which in ("cost-benefit", "all"):
         print("== object cost-benefit (n-RAC / n-RAB) ==")
@@ -175,7 +190,7 @@ def _print_reports_body(program, profile, which, top):
         print(format_method_costs(method_costs(graph, program),
                                   top=top))
         print()
-    if which in ("returns", "all"):
+    if which in ("returns", "all") and state is not None:
         print("== return-value costs ==")
         for entry in return_costs(graph, state.return_nodes,
                                   program, top=top):
@@ -188,7 +203,7 @@ def _print_reports_body(program, profile, which, top):
         print(format_write_read_report(write_read_imbalances(graph),
                                        top=top))
         print()
-    if which in ("predicates", "all"):
+    if which in ("predicates", "all") and state is not None:
         print("== always-true/false predicates ==")
         for entry in constant_predicates(graph, state.branch_outcomes,
                                          program)[:top]:
@@ -293,10 +308,36 @@ def _cmd_profile(args):
     if pusher is not None and pusher.error is None:
         print(f"push: {pusher.pushed} shard(s) -> {args.push} "
               f"(tenant {args.tenant!r})")
-    return _report_profile(args, program, result, report, sharded)
+    return _report_profile(args, program, jobs[0], result, report,
+                           sharded)
 
 
-def _report_profile(args, program, result, report, sharded):
+def _self_profile(args, program, job):
+    """``--self-profile``: the tracker overhead of the profile's own
+    configuration (``job``'s tier, max-steps and sampling schedule,
+    the tracker's slots and phases), as warm best-of tracked runs
+    against the same runs minus the tracker."""
+    from .observability import OverheadReport, best_of_warm, current
+    from .profiler import CostTracker
+    from .vm import VM
+
+    def run(tracer=None):
+        return VM(program, tracer=tracer, max_steps=job.max_steps,
+                  exec_mode=job.exec_mode, sampling=job.schedule()).run()
+
+    walls, vms = best_of_warm(
+        {"untracked": run,
+         "tracked": lambda: run(CostTracker(
+             slots=args.slots,
+             phases=set(args.phases) if args.phases else None))})
+    overhead = OverheadReport.of_runs(walls, vms)
+    hub = current()
+    if hub.enabled:
+        hub.event("overhead", **overhead.as_dict())
+    return overhead
+
+
+def _report_profile(args, program, job, result, report, sharded):
     """The reporting tail of ``repro profile``: header, sampling
     estimate, overhead, tracker stats, explain, reports, save."""
     if result is None:
@@ -337,19 +378,7 @@ def _report_profile(args, program, result, report, sharded):
     print()
     overhead = None
     if args.self_profile:
-        # Mean tracked run wall per shard against one untracked run.
-        from .observability import OverheadReport, current, time_untracked
-        walls = [meta.get("run_wall_s", 0.0) for meta in metas]
-        overhead = OverheadReport(
-            untracked_wall=time_untracked(program,
-                                          max_steps=args.max_steps),
-            tracked_wall=sum(walls) / len(walls),
-            instructions=result.instructions // len(metas),
-            nodes=graph.num_nodes, edges=graph.num_edges,
-            repeats=len(metas))
-        hub = current()
-        if hub.enabled:
-            hub.event("overhead", **overhead.as_dict())
+        overhead = _self_profile(args, program, job)
         print(overhead.format())
         print()
     if args.telemetry:
@@ -389,9 +418,9 @@ def cmd_analyze(args):
 
 
 def _cmd_analyze(args):
-    """Offline analysis of a previously saved Gcost."""
-    from .analyses import (analyze_cost_benefit, format_bloat_metrics,
-                           format_cost_benefit_report, measure_bloat)
+    """Offline analysis of a previously saved Gcost: the ``profile``
+    report body over the loaded graph, state and meta."""
+    from .profiler import AggregateProfile
     graph, meta, state = _load_profile_maybe_salvaging(args)
     program = _load_program(args.file, not args.no_stdlib)
     line = (f"loaded graph: {graph.num_nodes} nodes / "
@@ -401,28 +430,9 @@ def _cmd_analyze(args):
         # (and the predicate / return-cost clients) work offline.
         line += f"; CR: {state.conflict_ratio(graph):.3f}"
     print(line)
-    reports = analyze_cost_benefit(graph, program)
-    print(format_cost_benefit_report(reports, top=args.top))
-    instructions = meta.get("instructions")
-    if instructions:
-        print()
-        print(format_bloat_metrics(
-            "offline", measure_bloat(graph, instructions)))
-    if state is not None:
-        from .analyses import constant_predicates, return_costs
-        print()
-        print("== always-true/false predicates (offline) ==")
-        for entry in constant_predicates(graph, state.branch_outcomes,
-                                         program)[:args.top]:
-            print(f"  line {entry.line}: always-{entry.always} "
-                  f"x{entry.executions}")
-        print()
-        print("== return-value costs (offline) ==")
-        for entry in return_costs(graph, state.return_nodes, program,
-                                  top=args.top):
-            print(f"  {entry.method:<40} "
-                  f"x{entry.returns_observed:<6} "
-                  f"cost={entry.relative_cost:.1f}")
+    print()
+    _print_reports(program, AggregateProfile(graph, state, metas=[meta]),
+                   "all", args.top)
     return 0
 
 
@@ -802,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slots", type=int, default=16,
                    help="context slots s (default 16)")
     p.add_argument("--report", choices=REPORT_CHOICES, default="all")
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_top_rows, default=10)
     p.add_argument("--phases", nargs="*",
                    help="track only these Sys.phase names")
     p.add_argument("--save-graph", metavar="PATH",
@@ -849,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="offline analysis of a saved Gcost")
     p.add_argument("graph", help="JSON file from profile --save-graph")
     p.add_argument("file", help="the MiniJ source (for site names)")
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_top_rows, default=10)
     p.add_argument("--no-stdlib", action="store_true")
     p.add_argument("--telemetry", metavar="PATH",
                    help="write analysis telemetry (JSONL) to PATH")
@@ -863,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "saved profile")
     p.add_argument("graph", help="JSON file from profile --save-graph")
     p.add_argument("file", help="the MiniJ source (for site names)")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_top_rows, default=10,
                    help="rows per report section (default 10)")
     p.add_argument("--format", choices=("md", "json"), default="md",
                    help="output format: Markdown (default) or "
@@ -881,7 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "telemetry JSONL stream")
     p.add_argument("events",
                    help="JSONL file from profile --telemetry")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_top_rows, default=10,
                    help="shard attempts listed (default 10)")
     p.add_argument("--format", choices=("text", "json"),
                    default="text",
@@ -952,7 +962,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_addr(cp)
     cp.add_argument("--tenant", default="default",
                     help="tenant to query (default 'default')")
-    cp.add_argument("--top", type=int, default=10,
+    cp.add_argument("--top", type=_top_rows, default=10,
                     help="rows per ranked section (default 10)")
     cp.add_argument("--no-stdlib", action="store_true",
                     help="the profiled program was compiled without "
@@ -977,7 +987,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="text",
                     help="text (top-style tables, the default) or "
                          "the raw JSON snapshot")
-    cp.add_argument("--top", type=int, default=10,
+    cp.add_argument("--top", type=_top_rows, default=10,
                     help="tenants listed in the text rendering "
                          "(default 10)")
     cp.set_defaults(func=cmd_client)

@@ -4,8 +4,10 @@ For each workload the harness
 
 1. runs both variants and checks their program output is identical
    (the fixes are semantics-preserving),
-2. reports the reduction in executed instructions, wall-clock time,
-   and objects allocated,
+2. reports the reduction in executed instructions, wall-clock time
+   (warm best-of, through
+   :func:`~repro.observability.overhead.best_of_warm`), and objects
+   allocated,
 3. profiles the unoptimized variant and checks the tool's cost-benefit
    report actually points at the bloat (the culprit allocation sites
    rank near the top) — the paper's workflow of reading the report and
@@ -14,10 +16,10 @@ For each workload the harness
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..analyses import analyze_cost_benefit
+from ..observability.overhead import best_of_warm
 from ..profiler import CostTracker
 from ..vm import VM
 from ..workloads import all_workloads
@@ -67,15 +69,9 @@ def run_case_study(spec, scale=None, top: int = 10,
     unopt = spec.build("unopt", scale)
     opt = spec.build("opt", scale)
 
-    start = time.perf_counter()
-    unopt_vm = VM(unopt)
-    unopt_vm.run()
-    unopt_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    opt_vm = VM(opt)
-    opt_vm.run()
-    opt_seconds = time.perf_counter() - start
+    walls, vms = best_of_warm({"unopt": lambda: VM(unopt).run(),
+                               "opt": lambda: VM(opt).run()})
+    unopt_vm, opt_vm = vms["unopt"], vms["opt"]
 
     tracker = CostTracker(slots=profile_slots)
     traced_vm = VM(unopt, tracer=tracker)
@@ -89,8 +85,8 @@ def run_case_study(spec, scale=None, top: int = 10,
         paper_analogue=spec.paper_analogue,
         unopt_instructions=unopt_vm.instr_count,
         opt_instructions=opt_vm.instr_count,
-        unopt_seconds=unopt_seconds,
-        opt_seconds=opt_seconds,
+        unopt_seconds=walls["unopt"],
+        opt_seconds=walls["opt"],
         unopt_allocations=unopt_vm.heap.total_allocated,
         opt_allocations=opt_vm.heap.total_allocated,
         outputs_match=unopt_vm.stdout() == opt_vm.stdout(),

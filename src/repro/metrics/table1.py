@@ -3,8 +3,8 @@
 Regenerates, for every workload in the suite and for s ∈ {8, 16}:
 
 * part (a)/(b): #nodes (N), #edges (E), graph memory (M), run-time
-  overhead of tracking (O, wall-clock ratio traced/untraced), and the
-  context conflict ratio (CR);
+  overhead of tracking (O, warm best-of-3 wall-clock ratio
+  traced/untraced), and the context conflict ratio (CR);
 * part (c), for s = 16: total instruction instances (I), IPD, IPP, NLD.
 
 Absolute values differ from the paper (Python VM over synthetic
@@ -18,10 +18,10 @@ speedups.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..analyses import measure_bloat
+from ..observability.overhead import best_of_warm
 from ..profiler import CostTracker
 from ..vm import VM
 from ..workloads import all_workloads
@@ -44,30 +44,27 @@ class Table1Row:
 
 def profile_workload(spec, slots: int, variant: str = "unopt",
                      scale=None) -> Table1Row:
-    """One Table-1 row: run untraced for the time baseline, then traced."""
+    """One Table-1 row: warm best-of untraced vs traced wall times
+    (:func:`~repro.observability.overhead.best_of_warm`), the graph
+    and bloat metrics of the last traced run."""
     program = spec.build(variant, scale)
-
-    start = time.perf_counter()
-    plain_vm = VM(program)
-    plain_vm.run()
-    plain_seconds = time.perf_counter() - start
-
-    tracker = CostTracker(slots=slots)
-    start = time.perf_counter()
-    traced_vm = VM(program, tracer=tracker)
-    traced_vm.run()
-    traced_seconds = time.perf_counter() - start
+    walls, vms = best_of_warm({
+        "plain": lambda: VM(program).run(),
+        "traced": lambda: VM(program,
+                             tracer=CostTracker(slots=slots)).run()})
+    plain_vm, traced_vm = vms["plain"], vms["traced"]
 
     if traced_vm.stdout() != plain_vm.stdout():
         raise AssertionError(
             f"{spec.name}: tracking changed program output")
 
+    tracker = traced_vm.tracer
     graph = tracker.graph
     # Freeze once: measure_bloat runs over the CSR snapshot and
     # memory_bytes reports the flat-array accounting.
     graph.freeze()
     metrics = measure_bloat(graph, traced_vm.instr_count)
-    overhead = traced_seconds / plain_seconds if plain_seconds > 0 \
+    overhead = walls["traced"] / walls["plain"] if walls["plain"] > 0 \
         else float("inf")
     return Table1Row(
         name=spec.name,

@@ -21,7 +21,8 @@ Six pieces (see ``docs/OBSERVABILITY.md``):
   on faults / ``SIGUSR1`` / shutdown and replayable by ``repro trace``;
 * :mod:`~repro.observability.overhead` — self-profiling, reporting
   tracker overhead as a ratio of untracked execution (the Table-1
-  overhead-column analogue);
+  overhead-column analogue), and :func:`best_of_warm`, the one timer
+  of warm VM runs;
 * :mod:`~repro.observability.bloatreport` — the Markdown / JSON bloat
   report behind ``python -m repro report``.
 """
@@ -34,8 +35,8 @@ from .flightrecorder import (DEFAULT_CAPACITY, FlightRecorder,
 from .metrics import (LATENCY_BUCKETS, METRICS_SCHEMA, NULL_METRICS,
                       Histogram, MetricsRegistry, NullMetrics,
                       normalize_snapshot, stable_json)
-from .overhead import (OverheadReport, measure_overhead,
-                       overhead_from_dict, time_untracked)
+from .overhead import (OverheadReport, best_of_warm, measure_overhead,
+                       overhead_from_dict)
 from .telemetry import (DEFAULT_SAMPLE_INTERVAL, NULL, SCHEMA_VERSION,
                         JsonlSink, MemorySink, NullTelemetry, PipeSink,
                         SpanHandle, Telemetry, TraceContext, child_hub,
@@ -58,7 +59,7 @@ __all__ = [
     "stable_json",
     "FlightRecorder", "RecorderSink", "DEFAULT_CAPACITY", "install",
     "current_recorder", "dump_current", "arm_signal",
-    "OverheadReport", "measure_overhead", "overhead_from_dict",
-    "time_untracked",
+    "OverheadReport", "best_of_warm", "measure_overhead",
+    "overhead_from_dict",
     "BloatReport", "render_bloat_report", "bloat_report_data",
 ]

@@ -4,10 +4,12 @@ Table 1 of the paper reports the instrumentation overhead of running
 each DaCapo benchmark under the J9 tracking JVM next to the analysis
 results; the overhead column is what told users whether always-on
 profiling was affordable and when to reach for phase-restricted
-tracking (§4.1).  This module is the reproduction's analogue: it runs
-the same program once on the bare interpreter and once under the
+tracking (§4.1).  This module is the reproduction's analogue: it times
+the same program on the bare VM and under the
 :class:`~repro.profiler.tracker.CostTracker` and reports the wall-time
-ratio, plus the graph the tracked run paid for.
+ratio, plus the graph the tracked run paid for.  Its
+:func:`best_of_warm` is the one timer of warm VM runs that every
+overhead and run-time ratio of the repository goes through.
 
 Exposed on the CLI as ``repro profile FILE --self-profile`` (the
 resulting summary travels inside the saved profile's ``meta`` so
@@ -21,6 +23,9 @@ from dataclasses import dataclass
 
 from .telemetry import current
 
+#: Timed rounds of :func:`best_of_warm` unless a caller asks otherwise.
+REPEATS = 3
+
 
 @dataclass
 class OverheadReport:
@@ -32,6 +37,19 @@ class OverheadReport:
     nodes: int = 0             # Gcost size bought by the overhead
     edges: int = 0
     repeats: int = 1           # measurements per mode (min is kept)
+
+    @classmethod
+    def of_runs(cls, walls: dict, vms: dict,
+                repeats: int = REPEATS) -> "OverheadReport":
+        """The report of a :func:`best_of_warm` over an ``untracked``
+        and a ``tracked`` run (both returning the finished VM)."""
+        tracked = vms["tracked"]
+        graph = tracked.tracer.graph
+        return cls(untracked_wall=walls["untracked"],
+                   tracked_wall=walls["tracked"],
+                   instructions=tracked.instr_count,
+                   nodes=graph.num_nodes, edges=graph.num_edges,
+                   repeats=max(repeats, 1))
 
     @property
     def overhead(self) -> float:
@@ -67,57 +85,46 @@ def overhead_from_dict(data: dict) -> OverheadReport:
         repeats=data.get("repeats", 1))
 
 
-def time_untracked(program, max_steps: int = 2_000_000_000,
-                   repeats: int = 1) -> float:
-    """Minimum wall time of ``repeats`` bare (tracer-less) runs."""
-    from ..vm import VM
-    best = None
+def best_of_warm(runs, repeats: int = REPEATS):
+    """Warm best-of-``repeats`` walls of ``runs`` (name -> zero-arg
+    callable, e.g. ``lambda: VM(...).run()``).
+
+    Each callable runs once untimed, so lazy-tier compiles and allocator
+    warm-up stay out; then ``repeats`` rounds time every callable back
+    to back, so a slow patch of the host degrades one whole round and
+    best-of discards it.  Returns ``(best_wall, last_result)``, two
+    dicts keyed by name.
+    """
+    results = {name: run() for name, run in runs.items()}
+    best = {name: float("inf") for name in runs}
     for _ in range(max(repeats, 1)):
-        vm = VM(program, max_steps=max_steps)
-        start = time.perf_counter()
-        vm.run()
-        wall = time.perf_counter() - start
-        if best is None or wall < best:
-            best = wall
-    return best
+        for name, run in runs.items():
+            start = time.perf_counter()
+            results[name] = run()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return best, results
 
 
 def measure_overhead(program, slots: int = 16, phases=None,
                      max_steps: int = 2_000_000_000,
                      repeats: int = 1,
                      telemetry=None) -> OverheadReport:
-    """Run ``program`` untracked and tracked; report the overhead ratio.
-
-    Each mode runs ``repeats`` times on a fresh VM (and a fresh
-    :class:`CostTracker` for the tracked mode) and keeps the minimum
-    wall — the standard noise-robust estimate for short deterministic
-    runs.  Emits an ``overhead`` telemetry event on the active (or
-    given) hub.
+    """Warm overhead of ``program``: :func:`best_of_warm` over a bare
+    and a tracked run (fresh VM and tracker each), ``repeats`` timed
+    rounds.  Emits an ``overhead`` event on the active (or given) hub.
     """
     from ..profiler import CostTracker
     from ..vm import VM
     hub = telemetry if telemetry is not None else current()
 
-    untracked_wall = time_untracked(program, max_steps, repeats)
-    tracked_wall = None
-    graph = None
-    for _ in range(max(repeats, 1)):
-        tracker = CostTracker(slots=slots, phases=phases)
-        vm = VM(program, tracer=tracker, max_steps=max_steps)
-        start = time.perf_counter()
-        vm.run()
-        wall = time.perf_counter() - start
-        if tracked_wall is None or wall < tracked_wall:
-            tracked_wall = wall
-        graph = tracker.graph
+    def run(tracer=None):
+        return VM(program, tracer=tracer, max_steps=max_steps).run()
 
-    # The tracked run executes the same instructions as the bare one.
-    report = OverheadReport(untracked_wall=untracked_wall,
-                            tracked_wall=tracked_wall,
-                            instructions=vm.instr_count,
-                            nodes=graph.num_nodes,
-                            edges=graph.num_edges,
-                            repeats=max(repeats, 1))
+    walls, vms = best_of_warm(
+        {"untracked": run,
+         "tracked": lambda: run(CostTracker(slots=slots, phases=phases))},
+        repeats)
+    report = OverheadReport.of_runs(walls, vms, repeats)
     if hub.enabled:
         hub.event("overhead", **report.as_dict())
     return report

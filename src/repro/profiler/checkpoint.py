@@ -17,7 +17,8 @@ Document layout (version 1)::
      "shards": {"0": <v2 profile dict>, "3": ...},
      "checksum": "<sha256 of every other key>"}
 
-Writes are atomic (tmp file + ``os.replace``) so a kill mid-write
+Writes are atomic (:func:`~repro.profiler.serialize.write_json_atomic`:
+tmp file + fsync + ``os.replace``) so a kill mid-write
 leaves the previous checkpoint intact, and the checksum catches the
 torn/corrupt file a dying filesystem can still produce — both cases
 surface as :class:`~repro.profiler.errors.CheckpointError` rather than
@@ -29,10 +30,9 @@ with different jobs, slots, or tracking flags is refused.
 from __future__ import annotations
 
 import json
-import os
 
 from .errors import CheckpointError
-from .serialize import content_checksum
+from .serialize import content_checksum, write_json_atomic
 
 CHECKPOINT_VERSION = 1
 
@@ -79,12 +79,7 @@ def write_checkpoint(path, fingerprint: str, slots: int, total: int,
                    for index, shard in sorted(shards.items())},
     }
     data["checksum"] = content_checksum(data)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as handle:
-        json.dump(data, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    write_json_atomic(path, data)
 
 
 def load_checkpoint(path, fingerprint: str = None) -> dict:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 from .errors import (ProfileChecksumError, ProfileFormatError,
                      ProfileTruncatedError)
@@ -189,12 +190,32 @@ def save_graph(graph: DependenceGraph, path, meta=None,
     """Write the graph (plus optional metadata / tracker state).
 
     The document gains a ``checksum`` key so loaders can detect silent
-    corruption; pre-checksum files remain readable.
+    corruption; pre-checksum files remain readable.  The write is
+    atomic (:func:`write_json_atomic`).
     """
     data = graph_to_dict(graph, meta, tracker)
     data["checksum"] = content_checksum(data)
-    with open(path, "w") as handle:
-        json.dump(data, handle)
+    write_json_atomic(path, data)
+
+
+def write_json_atomic(path, data) -> None:
+    """Write ``data`` as JSON to ``path``, all or nothing.
+
+    The document goes to a tmp file beside ``path``, is fsynced, and
+    then ``os.replace``s ``path``: a kill or an error mid-write leaves
+    the previous file intact, and a failed write removes its tmp file.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w") as handle:
+            json.dump(data, handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_profile(path):

@@ -134,7 +134,9 @@ def test_profile_parallel_save_and_analyze(demo_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "loaded graph" in out
     assert "CR:" in out                      # v2 state travelled along
-    assert "return-value costs (offline)" in out
+    # The `profile` report body, returns section included (v2 state).
+    assert "== return-value costs ==" in out
+    assert "== always-true/false predicates ==" in out
 
 
 def test_workloads_list(capsys):
@@ -176,6 +178,28 @@ def test_profile_self_profile_flag(demo_file, capsys):
     out = capsys.readouterr().out
     assert "tracker overhead:" in out
     assert "untracked" in out
+
+
+def test_self_profile_times_the_profiles_own_tier(demo_file, monkeypatch,
+                                                 capsys):
+    """Both timed sides of ``--self-profile`` run the profile's
+    configuration: ``--exec-mode interp`` times interp against interp."""
+    from repro.vm import VM
+    runs = []
+    original = VM.run
+
+    def recorded(vm):
+        result = original(vm)
+        runs.append((vm.tracer is not None, vm.exec_tier))
+        return result
+
+    monkeypatch.setattr(VM, "run", recorded)
+    assert main(["profile", demo_file, "--no-stdlib", "--exec-mode",
+                 "interp", "--report", "bloat", "--self-profile"]) == 0
+    assert "tracker overhead:" in capsys.readouterr().out
+    untracked = [tier for tracked, tier in runs if not tracked]
+    assert untracked
+    assert {tier for _, tier in runs} == {"interp"}
 
 
 def _alloc_counts(out):
@@ -422,6 +446,24 @@ class TestCleanErrors:
         err = capsys.readouterr().err
         assert "truncated" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("top", ["0", "-2"])
+    @pytest.mark.parametrize("argv", [
+        ["profile", "x.mj"], ["analyze", "g.json", "x.mj"],
+        ["report", "g.json", "x.mj"], ["trace", "t.jsonl"],
+        ["client", "query", "summary", "--addr", "x.sock"],
+        ["client", "stats", "--addr", "x.sock"]],
+        ids=lambda argv: " ".join(argv[:2]))
+    def test_top_below_one_is_bad_input(self, argv, top, capsys):
+        """Every ``--top`` refuses a row count below 1, as the
+        daemon's queries do, before any file or socket is touched."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--top", top])
+        assert exit_info.value.code == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(
+            f"argument --top: top must be a positive integer, "
+            f"got '{top}'")
 
 
 class TestResilienceFlags:

@@ -57,6 +57,28 @@ class TestChecksums:
         assert graph.num_nodes > 0 and state is not None
 
 
+class TestAtomicSave:
+
+    def test_failed_save_keeps_previous_file(self, profile_path,
+                                             tmp_path, monkeypatch):
+        """A save that dies mid-write leaves the previous profile
+        byte-identical and no tmp file behind."""
+        graph, meta, state = load_profile(profile_path)
+        target = tmp_path / "gcost.json"
+        target.write_bytes(open(profile_path, "rb").read())
+        before = target.read_bytes()
+
+        def torn_dump(data, handle, **kwargs):
+            handle.write(json.dumps(data)[:100])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_graph(graph, str(target), meta=meta, tracker=state)
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["gcost.json"]
+
+
 class TestTypedLoadFailures:
 
     def test_version_mismatch(self, profile_path, tmp_path):

@@ -447,6 +447,35 @@ class TestOverhead:
                                                rel=0.05)
         assert "tracker overhead" in report.format()
 
+    def test_timed_rounds_compile_nothing(self, monkeypatch):
+        """Every lazy-tier compile lands in the untimed warm-up round:
+        a live hub's ``tier.compile`` count does not move across the
+        timed rounds."""
+        program = _stress_program(stages=4, chain=3, rounds=2)
+        hub = Telemetry(sink=MemorySink())
+        counts = []
+        original = VM.run
+
+        def compiles():
+            histogram = hub.metrics.histograms.get("tier.compile")
+            return histogram.count if histogram is not None else 0
+
+        def counted(vm):
+            counts.append(compiles())
+            return original(vm)
+
+        monkeypatch.setattr(VM, "run", counted)
+        previous = set_current(hub)
+        try:
+            measure_overhead(program, slots=8, repeats=3)
+        finally:
+            set_current(previous)
+        counts.append(compiles())
+        # Untracked and tracked warm-up, then 3 rounds of both.
+        assert len(counts) == 2 + 2 * 3 + 1
+        assert counts[0] == 0 and counts[2] > 0
+        assert set(counts[2:]) == {counts[2]}
+
     def test_overhead_event_emitted(self):
         program = _stress_program()
         sink = MemorySink()
